@@ -30,18 +30,19 @@ renderDepthFrame(nerf::NerfPipeline &pipe, const nerf::Camera &cam, Pcg32 &rng)
     frame.color = Image(cam.width(), cam.height());
     frame.depth.assign(static_cast<std::size_t>(cam.width()) * cam.height(), 0.0f);
 
-    std::vector<nerf::RaySample> samples;
-    std::vector<float> sigmas, dts, ts;
+    std::vector<Ray> rays;
+    std::vector<nerf::RayEval> evals(static_cast<std::size_t>(cam.width()));
     for (int y = 0; y < cam.height(); ++y) {
+        // One ray batch per row through the batched core.
+        rays.clear();
+        for (int x = 0; x < cam.width(); ++x)
+            rays.push_back(cam.rayForPixel(x, y));
+        pipe.traceRays(rays, rng, /*record=*/false, evals);
         for (int x = 0; x < cam.width(); ++x) {
-            const Ray ray = cam.rayForPixel(x, y);
-            const nerf::RayEval ev = pipe.traceRay(ray, rng, /*record=*/true);
+            const nerf::RayEval &ev = evals[static_cast<std::size_t>(x)];
             frame.color.at(x, y) = clamp(ev.color, 0.0f, 1.0f);
-            // Depth from the recorded tape.
-            // traceRay(record=true) leaves the tape in the pipeline but
-            // does not expose it; recompute from a second sampling pass
-            // kept simple: reuse firstHitT as a depth proxy blended with
-            // the far bound by the remaining transmittance.
+            // Depth proxy: firstHitT blended with the far bound by the
+            // remaining transmittance.
             const float t_hit = std::isfinite(ev.firstHitT) ? ev.firstHitT : 2.5f;
             frame.depth[static_cast<std::size_t>(y) * cam.width() + x] =
                 t_hit * (1.0f - ev.transmittance) + 2.5f * ev.transmittance;

@@ -3,7 +3,7 @@
  * Batched-vs-scalar field-evaluation bench across every backend, with
  * SIMD-dispatch and quantization axes: samples/sec of the scalar
  * forwardPoint loop against the batched SoA core at batch sizes
- * 1/32/256/2048. Covers the hash-grid NerfModel (forwardBatch), the
+ * 1/32/256/2048. Covers the hash-grid NerfModel, the
  * frequency-encoded FreqNerfModel, and the CP-factorized TensorfModel
  * (forwardPointBatch). The hash-grid backend additionally runs the
  * quantized inference modes (fp16/int8 packed weight images) and an
@@ -130,7 +130,7 @@ measureNerf(const nerf::NerfModel &model, std::size_t batch, std::size_t budget)
     nerf::NerfBatchWorkspace bws = model.makeBatchWorkspace(batch);
     const auto t1 = std::chrono::steady_clock::now();
     for (std::size_t rep = 0; rep < reps; ++rep) {
-        model.forwardBatch(pos, dirs, bws, sigmas, rgbs);
+        model.forwardPointBatch(pos, dirs, bws, sigmas, rgbs);
         sum_batched += sigmas[rep % batch];
     }
     const double batched_s = secondsSince(t1);

@@ -58,15 +58,16 @@ main(int argc, char **argv)
         nerf::Camera::orbit({0.5f, 0.45f, 0.5f}, 1.4f, 20.0f, 25.0f, 45.0f, 256, 256);
     Pcg32 rng(4, 4);
     for (const auto *interp : {&tiled, &baseline}) {
-        pipe->setVertexVisitor(const_cast<chip::InterpModule *>(interp));
+        pipe->model().setVertexVisitor(const_cast<chip::InterpModule *>(interp));
         for (int i = 0; i < trace_rays; ++i) {
             const std::uint32_t pick = rng.nextBounded(256u * 256u);
             const Ray ray = cam.rayForPixel(static_cast<int>(pick % 256),
                                             static_cast<int>(pick / 256));
-            (void)pipe->traceRay(ray, rng, false);
+            nerf::RayEval ev;
+            pipe->traceRays({&ray, 1}, rng, false, {&ev, 1});
         }
     }
-    pipe->setVertexVisitor(nullptr);
+    pipe->model().setVertexVisitor(nullptr);
 
     const chip::InterpRunStats t = tiled.stats();
     const chip::InterpRunStats b = baseline.stats();

@@ -26,7 +26,9 @@
  */
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -182,6 +184,22 @@ main(int argc, char **argv)
     std::string metrics_path;
     bool overhead_check = false;
     int positional = 0;
+    const auto usage = [&]() {
+        fatal("usage: %s [frames] [resolution] [--trace FILE] "
+              "[--metrics FILE] [--overhead-check] (frames and resolution are "
+              "positive integers)",
+              argv[0]);
+    };
+    // A positional must be a whole positive number: "--quick" or "0"
+    // would otherwise render nothing and report a NaN speedup.
+    const auto positive = [&](const char *arg) {
+        char *end = nullptr;
+        errno = 0;
+        const long v = std::strtol(arg, &end, 10);
+        if (end == arg || *end != '\0' || errno != 0 || v <= 0 || v > 1000000)
+            usage();
+        return static_cast<int>(v);
+    };
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
             trace_path = argv[++i];
@@ -190,15 +208,13 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--overhead-check") == 0) {
             overhead_check = true;
         } else if (positional == 0) {
-            frames = std::atoi(argv[i]);
+            frames = positive(argv[i]);
             ++positional;
         } else if (positional == 1) {
-            size = std::atoi(argv[i]);
+            size = positive(argv[i]);
             ++positional;
         } else {
-            fatal("usage: %s [frames] [resolution] [--trace FILE] "
-                  "[--metrics FILE] [--overhead-check]",
-                  argv[0]);
+            usage();
         }
     }
 
@@ -264,8 +280,11 @@ main(int argc, char **argv)
         }
         json += "}}";
     }
-    std::snprintf(buf, sizeof(buf), "],\"speedup_4v1\":%.3f}",
-                  points.back().fps / points.front().fps);
+    const double speedup = points.back().fps / points.front().fps;
+    if (!std::isfinite(speedup))
+        fatal("non-finite 4-vs-1 speedup (%g / %g frames/s)", points.back().fps,
+              points.front().fps);
+    std::snprintf(buf, sizeof(buf), "],\"speedup_4v1\":%.3f}", speedup);
     json += buf;
     std::printf("JSON: %s\n", json.c_str());
 

@@ -35,7 +35,7 @@ Chip::evaluateInference(nerf::NerfPipeline &pipeline, const nerf::Camera &camera
                         int trace_rays, std::uint64_t seed) const
 {
     InterpModule interp(cfg_, policy_);
-    pipeline.setVertexVisitor(&interp);
+    pipeline.model().setVertexVisitor(&interp);
 
     Pcg32 rng(seed, 0xb5297a4d3f84d5a3ULL);
     Capture cap;
@@ -50,13 +50,14 @@ Chip::evaluateInference(nerf::NerfPipeline &pipeline, const nerf::Camera &camera
         const int py = static_cast<int>(pick / camera.width());
         const Ray ray = camera.rayForPixel(px, py);
         nerf::RayWorkload wl;
-        const nerf::RayEval ev = pipeline.traceRay(ray, rng, /*record=*/false, &wl);
+        nerf::RayEval ev;
+        pipeline.traceRays({&ray, 1}, rng, /*record=*/false, {&ev, 1}, &wl);
         cap.candidates += static_cast<std::uint64_t>(ev.candidates);
         cap.valid += static_cast<std::uint64_t>(ev.samples);
         cap.composited += static_cast<std::uint64_t>(ev.composited);
         cap.workloads.push_back(std::move(wl));
     }
-    pipeline.setVertexVisitor(nullptr);
+    pipeline.model().setVertexVisitor(nullptr);
 
     const SamplingModule sampling(cfg_, schedule_, normalized_);
     const SamplingRunStats s1 = sampling.run(cap.workloads);
@@ -92,7 +93,7 @@ Chip::evaluateTraining(nerf::NerfPipeline &pipeline, const nerf::Dataset &datase
         fatal("Chip::evaluateTraining: dataset has no training views");
 
     InterpModule interp(cfg_, policy_);
-    pipeline.setVertexVisitor(&interp);
+    pipeline.model().setVertexVisitor(&interp);
 
     Pcg32 rng(seed, 0x9e3779b97f4a7c15ULL);
     Capture cap;
@@ -108,13 +109,14 @@ Chip::evaluateTraining(nerf::NerfPipeline &pipeline, const nerf::Dataset &datase
                 view.image.height())));
         const Ray ray = view.camera.rayForPixel(px, py, rng.nextFloat(), rng.nextFloat());
         nerf::RayWorkload wl;
-        const nerf::RayEval ev = pipeline.traceRay(ray, rng, /*record=*/false, &wl);
+        nerf::RayEval ev;
+        pipeline.traceRays({&ray, 1}, rng, /*record=*/false, {&ev, 1}, &wl);
         cap.candidates += static_cast<std::uint64_t>(ev.candidates);
         cap.valid += static_cast<std::uint64_t>(ev.samples);
         cap.composited += static_cast<std::uint64_t>(ev.composited);
         cap.workloads.push_back(std::move(wl));
     }
-    pipeline.setVertexVisitor(nullptr);
+    pipeline.model().setVertexVisitor(nullptr);
 
     const SamplingModule sampling(cfg_, schedule_, normalized_);
     const SamplingRunStats s1 = sampling.run(cap.workloads);

@@ -59,7 +59,7 @@ MultiChipSystem::run(nerf::MoeNerf &moe, const std::vector<Ray> &rays, bool trai
     for (int k = 0; k < chips; ++k) {
         interps.push_back(std::make_unique<chip::InterpModule>(
             cfg_.chip, chip::BankPolicy::TwoLevelTiling));
-        moe.expert(k).setVertexVisitor(interps.back().get());
+        moe.expert(k).model().setVertexVisitor(interps.back().get());
         workloads[static_cast<std::size_t>(k)].reserve(rays.size());
     }
 
@@ -70,8 +70,8 @@ MultiChipSystem::run(nerf::MoeNerf &moe, const std::vector<Ray> &rays, bool trai
     for (const Ray &ray : rays) {
         for (int k = 0; k < chips; ++k) {
             nerf::RayWorkload wl;
-            const nerf::RayEval ev =
-                moe.expert(k).traceRay(ray, rng, /*record=*/false, &wl);
+            nerf::RayEval ev;
+            moe.expert(k).traceRays({&ray, 1}, rng, /*record=*/false, {&ev, 1}, &wl);
             candidates[static_cast<std::size_t>(k)] +=
                 static_cast<std::uint64_t>(ev.candidates);
             valid[static_cast<std::size_t>(k)] += static_cast<std::uint64_t>(ev.samples);
@@ -83,7 +83,7 @@ MultiChipSystem::run(nerf::MoeNerf &moe, const std::vector<Ray> &rays, bool trai
         }
     }
     for (int k = 0; k < chips; ++k)
-        moe.expert(k).setVertexVisitor(nullptr);
+        moe.expert(k).model().setVertexVisitor(nullptr);
 
     SystemRunResult result;
     const double scale =

@@ -1,14 +1,12 @@
 /**
  * @file
- * The shared Stage I/III machinery of every batch-native pipeline,
- * hoisted out of NerfPipeline so PointPipeline (FreqNeRF, TensoRF)
- * instantiates the identical code: CSR SampleBatch build through the
- * occupancy gate (rng consumed per ray, so jitter streams are
- * batch-size invariant), batched compositing over per-ray CSR ranges
- * (pool-parallel with a fixed grain), and the recompute-in-backward
- * composite tape. The model evaluation itself is injected as a functor
- * — the one genuinely backend-specific stage — so each pipeline keeps
- * its own forward/backward sharding policy.
+ * The Stage I/III machinery of PointPipeline, for every backend: CSR
+ * SampleBatch build through the occupancy gate (rng consumed per ray,
+ * so jitter streams are batch-size invariant), batched compositing over
+ * per-ray CSR ranges (pool-parallel with a fixed grain), and the
+ * recompute-in-backward composite tape. The model evaluation itself is
+ * injected as a functor, which PointPipeline routes through its shard
+ * engine.
  */
 
 #ifndef FUSION3D_NERF_BATCH_EVALUATOR_H_
@@ -33,6 +31,11 @@ inline constexpr int kRayCompositeGrain = 64;
 
 /** Feed the nerf.batch.compaction.* metrics (batch_evaluator.cc). */
 void noteCompactionMetrics(std::size_t batch_samples, std::size_t mlp_samples);
+
+/** Feed the nerf.train.* shard-engine counters: one sharded model call
+ *  over @p samples split into @p shards, and one gradient reduction. */
+void noteShardedCall(std::size_t samples, std::size_t shards);
+void noteGradientReduce();
 
 /**
  * Owns the batch tape and scratch of one pipeline's traceRays /

@@ -1,7 +1,5 @@
 #include "nerf/field.h"
 
-#include "nerf/nerf_model.h"
-
 namespace fusion3d::nerf
 {
 
@@ -17,61 +15,6 @@ backendKindName(BackendKind kind)
         return "tensorf";
     }
     return "unknown";
-}
-
-HashGridServeField::HashGridServeField(std::unique_ptr<NerfModel> model)
-    : owned_(std::move(model))
-{
-}
-
-HashGridServeField::HashGridServeField(const NerfModel &model) : borrowed_(&model) {}
-
-HashGridServeField::~HashGridServeField() = default;
-
-std::size_t
-HashGridServeField::paramCount() const
-{
-    return model().paramCount();
-}
-
-void
-HashGridServeField::evalBatch(std::span<const Vec3f> positions,
-                              std::span<const Vec3f> dirs, std::span<float> sigmas,
-                              std::span<Vec3f> rgbs) const
-{
-    NerfBatchWorkspace ws = model().makeBatchWorkspace();
-    model().forwardBatch(positions, dirs, ws, sigmas, rgbs);
-}
-
-void
-HashGridServeField::evalDensityBatch(std::span<const Vec3f> positions,
-                                     std::span<float> sigmas) const
-{
-    NerfBatchWorkspace ws = model().makeBatchWorkspace();
-    model().queryDensityBatch(positions, ws, sigmas);
-}
-
-std::size_t
-HashGridServeField::residentBytes() const
-{
-    return model().residentParamBytes();
-}
-
-QuantMode
-HashGridServeField::quantMode() const
-{
-    return model().inferenceQuantMode();
-}
-
-bool
-HashGridServeField::applyQuantMode(QuantMode mode)
-{
-    // A borrowed model can't be mutated; once the fp32 masters are
-    // dropped the mode is pinned. Both cases succeed only as no-ops.
-    if (owned_ == nullptr || !owned_->encoding().hasFp32Weights())
-        return model().inferenceQuantMode() == mode;
-    owned_->setInferenceQuant(mode);
-    return true;
 }
 
 } // namespace fusion3d::nerf

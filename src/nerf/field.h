@@ -3,7 +3,7 @@
  * Backend-polymorphic serveable radiance field. The serve layer
  * (registry, scheduler, reprojection) and the const render paths
  * (parallel_render) talk to this interface instead of a concrete
- * `NerfModel`, so the hash-grid, frequency-encoded, and TensoRF
+ * model, so the hash-grid, frequency-encoded, and TensoRF
  * backends all ride the same deployment stack: registry load / retry /
  * breaker, hot-swap, LRU eviction + single-flight reload, the deadline
  * ladder, reprojection sessions, tracing, and per-tenant QoS.
@@ -18,6 +18,7 @@
 #ifndef FUSION3D_NERF_FIELD_H_
 #define FUSION3D_NERF_FIELD_H_
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -28,8 +29,6 @@
 
 namespace fusion3d::nerf
 {
-
-class NerfModel;
 
 /** Which radiance-field backend an artifact / serve entry holds. */
 enum class BackendKind : std::uint32_t
@@ -102,46 +101,25 @@ class ServeableField
     }
 };
 
-/**
- * ServeableField over the hash-grid NerfModel. Owns the model when
- * constructed from a unique_ptr, or borrows a caller-owned model (the
- * borrowed model must outlive the field — used by the const render
- * overloads that still accept a bare `const NerfModel&`).
- */
-class HashGridServeField : public ServeableField
-{
-  public:
-    explicit HashGridServeField(std::unique_ptr<NerfModel> model);
-    explicit HashGridServeField(const NerfModel &model);
-    ~HashGridServeField() override;
-
-    BackendKind kind() const override { return BackendKind::hashGrid; }
-    std::size_t paramCount() const override;
-    void evalBatch(std::span<const Vec3f> positions, std::span<const Vec3f> dirs,
-                   std::span<float> sigmas, std::span<Vec3f> rgbs) const override;
-    void evalDensityBatch(std::span<const Vec3f> positions,
-                          std::span<float> sigmas) const override;
-    std::size_t residentBytes() const override;
-    QuantMode quantMode() const override;
-    bool applyQuantMode(QuantMode mode) override;
-
-    const NerfModel &
-    model() const
-    {
-        return owned_ ? static_cast<const NerfModel &>(*owned_) : *borrowed_;
-    }
-
-  private:
-    std::unique_ptr<NerfModel> owned_;
-    const NerfModel *borrowed_ = nullptr;
+/** Backends with packed inference weights (the hash grid) expose
+ *  these; PointServeField forwards the quant/resident-bytes hooks to
+ *  them and serves every other backend as fp32. */
+template <class ModelT>
+concept QuantizableModel = requires(ModelT &m, const ModelT &c, QuantMode mode) {
+    m.setInferenceQuant(mode);
+    { c.inferenceQuantMode() } -> std::same_as<QuantMode>;
+    { c.hasFp32Weights() } -> std::same_as<bool>;
+    { c.residentParamBytes() } -> std::same_as<std::size_t>;
 };
 
 /**
  * ServeableField over any PointPipeline-compatible model with the
  * batched contract (`makeBatchWorkspace` / `forwardPointBatch` /
- * `queryDensityBatch`, all const). Header-only so each backend
- * instantiates it next to its model type; `FreqServeField` and
- * `TensorfServeField` are the aliases the serve/serialize layers use.
+ * `queryDensityBatch`, all const). Owns the model when constructed from
+ * a unique_ptr, or borrows a caller-owned model that must outlive the
+ * field. Header-only so each backend instantiates it next to its model
+ * type; `HashGridServeField`, `FreqServeField` and `TensorfServeField`
+ * are the aliases the serve/serialize layers use.
  */
 template <class ModelT>
 class PointServeField : public ServeableField
@@ -169,6 +147,40 @@ class PointServeField : public ServeableField
     {
         typename ModelT::BatchWorkspace ws = model().makeBatchWorkspace();
         model().queryDensityBatch(positions, ws, sigmas);
+    }
+
+    std::size_t
+    residentBytes() const override
+    {
+        if constexpr (QuantizableModel<ModelT>)
+            return model().residentParamBytes();
+        else
+            return ServeableField::residentBytes();
+    }
+
+    QuantMode
+    quantMode() const override
+    {
+        if constexpr (QuantizableModel<ModelT>)
+            return model().inferenceQuantMode();
+        else
+            return ServeableField::quantMode();
+    }
+
+    bool
+    applyQuantMode(QuantMode mode) override
+    {
+        if constexpr (QuantizableModel<ModelT>) {
+            // A borrowed model can't be mutated; once the fp32 masters
+            // are dropped the mode is pinned. Both cases succeed only
+            // as no-ops.
+            if (!owned_ || !owned_->hasFp32Weights())
+                return model().inferenceQuantMode() == mode;
+            owned_->setInferenceQuant(mode);
+            return true;
+        } else {
+            return ServeableField::applyQuantMode(mode);
+        }
     }
 
     const ModelT &

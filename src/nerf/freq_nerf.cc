@@ -213,7 +213,7 @@ namespace
 {
 
 /** Fill the two batched output-gradient matrices from the recomputed
- *  forward activations (shared by both batched backward variants). */
+ *  forward activations. */
 void
 freqBackwardDeltas(const FreqNerfConfig &cfg, std::span<const float> dsigmas,
                    std::span<const Vec3f> drgbs, std::size_t n,
@@ -241,38 +241,14 @@ freqBackwardDeltas(const FreqNerfConfig &cfg, std::span<const float> dsigmas,
 } // namespace
 
 void
-FreqNerfModel::backwardPointBatch(std::span<const Vec3f> pos,
-                                  std::span<const Vec3f> dirs,
-                                  std::span<const float> dsigmas,
-                                  std::span<const Vec3f> drgbs, BatchWorkspace &ws)
-{
-    const std::size_t n = pos.size();
-    if (ws.fwdSigmas.size() < n)
-        ws.fwdSigmas.resize(n);
-    if (ws.fwdRgbs.size() < n)
-        ws.fwdRgbs.resize(n);
-    forwardPointBatch(pos, dirs, ws, ws.fwdSigmas, ws.fwdRgbs);
-    freqBackwardDeltas(cfg_, dsigmas, drgbs, n, ws);
-
-    color_net_->backwardBatch({ws.dColorOut.data(), 3 * n}, n, ws.colorWs);
-    const std::size_t geo = static_cast<std::size_t>(cfg_.geoFeatures);
-    for (std::size_t i = 0; i < geo; ++i)
-        for (std::size_t s = 0; s < n; ++s)
-            ws.dTrunkOut[(i + 1) * n + s] = ws.colorWs.dinput[i * n + s];
-    trunk_->backwardBatch({ws.dTrunkOut.data(), (1 + geo) * n}, n, ws.trunkWs);
-}
-
-void
 FreqNerfModel::backwardPointBatchInto(std::span<const Vec3f> pos,
                                       std::span<const Vec3f> dirs,
                                       std::span<const float> dsigmas,
                                       std::span<const Vec3f> drgbs,
-                                      BatchWorkspace &ws,
-                                      std::span<float> grads) const
+                                      BatchWorkspace &ws, GradArena &grads) const
 {
     const std::size_t n = pos.size();
-    if (grads.size() < gradCount())
-        panic("FreqNerfModel::backwardPointBatchInto: gradient span too small");
+    grads.assign(paramCount(), 0.0f);
     if (ws.fwdSigmas.size() < n)
         ws.fwdSigmas.resize(n);
     if (ws.fwdRgbs.size() < n)
@@ -280,29 +256,40 @@ FreqNerfModel::backwardPointBatchInto(std::span<const Vec3f> pos,
     forwardPointBatch(pos, dirs, ws, ws.fwdSigmas, ws.fwdRgbs);
     freqBackwardDeltas(cfg_, dsigmas, drgbs, n, ws);
 
+    const std::span<float> out(grads);
     const std::size_t trunk_params = trunk_->paramCount();
     color_net_->backwardBatchInto({ws.dColorOut.data(), 3 * n}, n, ws.colorWs,
-                                  grads.subspan(trunk_params));
+                                  out.subspan(trunk_params));
     const std::size_t geo = static_cast<std::size_t>(cfg_.geoFeatures);
     for (std::size_t i = 0; i < geo; ++i)
         for (std::size_t s = 0; s < n; ++s)
             ws.dTrunkOut[(i + 1) * n + s] = ws.colorWs.dinput[i * n + s];
     trunk_->backwardBatchInto({ws.dTrunkOut.data(), (1 + geo) * n}, n, ws.trunkWs,
-                              grads.first(trunk_params));
+                              out.first(trunk_params));
 }
 
 void
-FreqNerfModel::accumulateGradients(std::span<const float> grads)
+FreqNerfModel::mergeGradients(std::span<GradArena> arenas)
 {
-    if (grads.size() < gradCount())
-        panic("FreqNerfModel::accumulateGradients: gradient span too small");
     const std::span<float> tg = trunk_->grads();
-    for (std::size_t i = 0; i < tg.size(); ++i)
-        tg[i] += grads[i];
     const std::span<float> cg = color_net_->grads();
-    const std::size_t off = tg.size();
-    for (std::size_t i = 0; i < cg.size(); ++i)
-        cg[i] += grads[off + i];
+    for (const GradArena &grads : arenas) {
+        for (std::size_t i = 0; i < tg.size(); ++i)
+            tg[i] += grads[i];
+        for (std::size_t i = 0; i < cg.size(); ++i)
+            cg[i] += grads[tg.size() + i];
+    }
+}
+
+void
+FreqNerfModel::backwardPointBatch(std::span<const Vec3f> pos,
+                                  std::span<const Vec3f> dirs,
+                                  std::span<const float> dsigmas,
+                                  std::span<const Vec3f> drgbs, BatchWorkspace &ws)
+{
+    GradArena grads;
+    backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, grads);
+    mergeGradients({&grads, 1});
 }
 
 void
@@ -313,12 +300,12 @@ FreqNerfModel::zeroGrads()
 }
 
 void
-FreqNerfModel::optimizerStep(float lr_trunk, float lr_color)
+FreqNerfModel::optimizerStep(float lr_trunk, float lr_color, ThreadPool *pool)
 {
     adam_trunk_.setLearningRate(lr_trunk);
     adam_color_.setLearningRate(lr_color);
-    adam_trunk_.step(trunk_->params(), trunk_->grads());
-    adam_color_.step(color_net_->params(), color_net_->grads());
+    adam_trunk_.step(trunk_->params(), trunk_->grads(), pool);
+    adam_color_.step(color_net_->params(), color_net_->grads(), pool);
 }
 
 void

@@ -85,7 +85,14 @@ class FreqNerfModel
   public:
     using Config = FreqNerfConfig;
     using BatchWorkspace = FreqNerfBatchWorkspace;
+    /** One shard's flat gradients: trunk block, then color-net block. */
+    using GradArena = std::vector<float>;
     static constexpr BackendKind kBackendKind = BackendKind::freqNerf;
+    /** PointPipelineConfig defaults: trunk and color-net learning rates
+     *  and the model seed. */
+    static constexpr float kLrFactors = 2e-2f;
+    static constexpr float kLrNet = 2e-3f;
+    static constexpr std::uint64_t kPipelineSeed = 31;
 
     explicit FreqNerfModel(const FreqNerfConfig &cfg, std::uint64_t seed = 41);
 
@@ -96,7 +103,7 @@ class FreqNerfModel
     void backwardPoint(const Vec3f &pos, const Vec3f &dir, float dsigma,
                        const Vec3f &drgb);
     void zeroGrads();
-    void optimizerStep(float lr_trunk, float lr_color);
+    void optimizerStep(float lr_trunk, float lr_color, ThreadPool *pool = nullptr);
     void quantizeWeights();
     std::size_t paramCount() const;
 
@@ -119,33 +126,24 @@ class FreqNerfModel
                            std::span<float> sigmas) const;
 
     /**
-     * Batched backward into the internal gradient accumulators.
-     * Recomputes the forward internally (recompute-in-backward); weight
-     * gradients are summed sample-ascending.
-     */
-    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                            std::span<const float> dsigmas,
-                            std::span<const Vec3f> drgbs, BatchWorkspace &ws);
-
-    /** Length of the flat gradient vector backwardPointBatchInto fills:
-     *  trunk grads first, then color-net grads. */
-    std::size_t gradCount() const { return paramCount(); }
-
-    /**
-     * Shard entry point of parallel training: like backwardPointBatch
-     * but const, accumulating into a caller-provided flat buffer
-     * (gradCount() floats, trunk block then color block) instead of the
-     * model. Shards own private buffers; accumulateGradients() merges
-     * them in fixed shard order.
+     * One shard's backward: recomputes the forward internally
+     * (recompute-in-backward) and overwrites @p grads with the shard's
+     * weight gradients, summed sample-ascending. Const, so shards with
+     * private workspaces and arenas run concurrently.
      */
     void backwardPointBatchInto(std::span<const Vec3f> pos,
                                 std::span<const Vec3f> dirs,
                                 std::span<const float> dsigmas,
                                 std::span<const Vec3f> drgbs, BatchWorkspace &ws,
-                                std::span<float> grads) const;
+                                GradArena &grads) const;
 
-    /** Add one shard's flat gradient buffer into the internal grads. */
-    void accumulateGradients(std::span<const float> grads);
+    /** Add every shard's arena into the internal grads, shard-ascending. */
+    void mergeGradients(std::span<GradArena> arenas);
+
+    /** Serial batched backward: one arena, then mergeGradients. */
+    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                            std::span<const float> dsigmas,
+                            std::span<const Vec3f> drgbs, BatchWorkspace &ws);
 
     /** MLP MACs per point — the compute-cost gap vs hash-grid NeRF. */
     std::uint64_t macsPerPoint() const;
@@ -173,7 +171,7 @@ class FreqNerfModel
 };
 
 /** Vanilla-NeRF pipeline: generic point pipeline over the MLP model. */
-using FreqPipelineConfig = PointPipelineConfig<FreqNerfConfig>;
+using FreqPipelineConfig = PointPipelineConfig<FreqNerfModel>;
 using FreqPipeline = PointPipeline<FreqNerfModel>;
 
 /** Serveable-field wrapper over the MLP model. */

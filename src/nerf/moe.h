@@ -324,12 +324,7 @@ class MoeField : public RadianceField
             e->optimizerStep();
     }
 
-    void
-    invalidateTapes() override
-    {
-        RadianceField::invalidateTapes();
-        fusion_weights_batch_.clear();
-    }
+    void invalidateTapes() override { fusion_weights_batch_.clear(); }
 
   private:
     /** Re-apply the region mask to every expert's occupancy gate. */

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/quant.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -43,72 +43,40 @@ batchStats()
     return stats;
 }
 
-/** Process-wide parallel-training counters behind nerf.train.*. */
-struct TrainStats
+AdamConfig
+adamFor(bool sparse)
 {
-    std::atomic<std::uint64_t> shard_calls{0};
-    std::atomic<std::uint64_t> shards{0};
-    std::atomic<std::uint64_t> sharded_samples{0};
-    std::atomic<std::uint64_t> reduces{0};
-
-    TrainStats()
-    {
-        obs::MetricsRegistry::global().registerCollector(
-            "nerf.train", [this](obs::MetricSink &sink) {
-                const double calls = static_cast<double>(
-                    shard_calls.load(std::memory_order_relaxed));
-                const double sh =
-                    static_cast<double>(shards.load(std::memory_order_relaxed));
-                sink.counter("nerf.train.shard_calls", calls);
-                sink.counter("nerf.train.shards", sh);
-                sink.counter("nerf.train.sharded_samples",
-                             static_cast<double>(sharded_samples.load(
-                                 std::memory_order_relaxed)));
-                sink.counter("nerf.train.reduces",
-                             static_cast<double>(
-                                 reduces.load(std::memory_order_relaxed)));
-                sink.gauge("nerf.train.avg_shards",
-                           calls > 0.0 ? sh / calls : 0.0);
-            });
-    }
-};
-
-TrainStats &
-trainStats()
-{
-    static TrainStats stats;
-    return stats;
-}
-
-/** Inclusive-begin shard boundary; depends only on n and shard count. */
-inline std::size_t
-shardBegin(std::size_t n, std::size_t num_shards, std::size_t s)
-{
-    return s * n / num_shards;
-}
-
-/** dst += src, elementwise. */
-inline void
-addInto(std::vector<float> &dst, const std::vector<float> &src)
-{
-    const std::size_t n = dst.size();
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] += src[i];
+    AdamConfig cfg;
+    cfg.beta1 = 0.9f;
+    cfg.beta2 = 0.99f;
+    cfg.epsilon = 1e-15f;
+    cfg.skipZeroGrad = sparse;
+    return cfg;
 }
 
 /**
- * Merge per-shard gradient buffers with a serial pairwise tree:
- * (0+1), (2+3), ... then (0+2), ... The combination order depends only
- * on the shard count, so a given shard partition always produces the
- * same floating-point sums regardless of thread count or scheduling.
+ * Merge per-shard MLP gradient buffers with a serial pairwise tree:
+ * (0+1), (2+3), ... then (0+2), ... and add the result into @p grads.
+ * The combination order depends only on the shard count, so a given
+ * shard partition always produces the same floating-point sums
+ * regardless of thread count or scheduling.
  */
 void
-treeReduce(std::vector<NerfShardArena> &shards, std::size_t count,
-           std::vector<float> NerfShardArena::*member)
+treeReduceInto(std::span<NerfModel::GradArena> arenas,
+               std::vector<float> NerfModel::GradArena::*member, std::span<float> grads)
 {
-    for (std::size_t stride = 1; stride < count; stride *= 2)
-        for (std::size_t i = 0; i + stride < count; i += 2 * stride)
-            addInto(shards[i].*member, shards[i + stride].*member);
+    const std::size_t count = arenas.size();
+    for (std::size_t stride = 1; stride < count; stride *= 2) {
+        for (std::size_t i = 0; i + stride < count; i += 2 * stride) {
+            std::vector<float> &dst = arenas[i].*member;
+            const std::vector<float> &src = arenas[i + stride].*member;
+            for (std::size_t k = 0; k < dst.size(); ++k)
+                dst[k] += src[k];
+        }
+    }
+    const std::vector<float> &sum = arenas[0].*member;
+    for (std::size_t k = 0; k < grads.size(); ++k)
+        grads[k] += sum[k];
 }
 
 } // namespace
@@ -124,6 +92,7 @@ NerfModel::NerfModel(const NerfModelConfig &cfg, std::uint64_t seed)
         seed + 1);
     color_net_ = std::make_unique<Mlp>(
         std::vector<int>{cfg.geoFeatures + cfg.shDims(), cfg.colorHidden, 3}, seed + 2);
+    point_ws_ = makeWorkspace();
 }
 
 PointWorkspace
@@ -170,7 +139,7 @@ NerfModel::forwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
     if (n == 0)
         return;
     if (dirs.size() < n || sigmas.size() < n || rgbs.size() < n)
-        panic("NerfModel::forwardBatch span sizes inconsistent with batch %zu", n);
+        panic("NerfModel::forwardPointBatch span sizes inconsistent with batch %zu", n);
 
     F3D_TRACE_SPAN_ARG("nerf", "forward_batch", n);
     BatchStats &stats = batchStats();
@@ -230,125 +199,36 @@ NerfModel::forwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
 }
 
 void
-NerfModel::backwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                         std::span<const float> dsigmas, std::span<const Vec3f> drgbs,
-                         NerfBatchWorkspace &ws)
+NerfModel::backwardPointBatchInto(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                                  std::span<const float> dsigmas,
+                                  std::span<const Vec3f> drgbs, NerfBatchWorkspace &ws,
+                                  GradArena &arena) const
 {
     const std::size_t n = pos.size();
-    if (n == 0)
-        return;
     if (dirs.size() < n || dsigmas.size() < n || drgbs.size() < n)
-        panic("NerfModel::backwardBatch span sizes inconsistent with batch %zu", n);
-
-    F3D_TRACE_SPAN_ARG("nerf", "backward_batch", n);
-
-    // Recompute the batched forward to refresh the activation caches.
-    // Size the recompute buffers before taking spans: forwardBatch's
-    // capacity growth would reallocate them under a live span.
-    if (ws.fwdSigmas.size() < n)
-        ws.fwdSigmas.resize(n);
-    if (ws.fwdRgbs.size() < n)
-        ws.fwdRgbs.resize(n);
-    forwardBatch(pos, dirs, ws, {ws.fwdSigmas.data(), n}, {ws.fwdRgbs.data(), n});
-
-    // Color net: dL/draw = drgb * sigmoid'(raw).
-    for (std::size_t j = 0; j < n; ++j) {
-        for (int i = 0; i < 3; ++i) {
-            const float s = ws.fwdRgbs[j][i];
-            ws.dColorOut[static_cast<std::size_t>(i) * n + j] = drgbs[j][i] * s * (1.0f - s);
-        }
-    }
-    color_net_->backwardBatch({ws.dColorOut.data(), 3 * n}, n, ws.colorWs);
-
-    // Density net: raw-sigma row fused with the activation gradient,
-    // geometry-feature rows come straight from the color net's input
-    // gradient (contiguous rows 0..geoFeatures-1 of colorWs.dinput).
-    for (std::size_t j = 0; j < n; ++j)
-        ws.dDensityOut[j] =
-            dsigmas[j] * densityActivationGrad(ws.rawSigma[j], ws.fwdSigmas[j]);
-    const std::size_t geo = static_cast<std::size_t>(cfg_.geoFeatures);
-    std::copy_n(ws.colorWs.dinput.begin(), geo * n, ws.dDensityOut.begin() + n);
-    density_net_->backwardBatch(
-        {ws.dDensityOut.data(), (1 + geo) * n}, n, ws.densityWs);
-
-    // Encoding backward: level-major batched scatter into the tables.
-    encoding_->backwardBatch(pos, {ws.densityWs.dinput.data(),
-                                   static_cast<std::size_t>(cfg_.grid.encodedDims()) * n});
-}
-
-std::size_t
-NerfModel::shardCount(std::size_t n)
-{
-    if (n == 0)
-        return 0;
-    return std::min(kMaxShards, (n + kShardGrain - 1) / kShardGrain);
-}
-
-void
-NerfModel::forwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                                NerfParallelWorkspace &ws, std::span<float> sigmas,
-                                std::span<Vec3f> rgbs, ThreadPool *pool) const
-{
-    const std::size_t n = pos.size();
-    if (n == 0)
-        return;
-    if (dirs.size() < n || sigmas.size() < n || rgbs.size() < n)
-        panic("NerfModel::forwardBatchParallel span sizes inconsistent with batch %zu",
+        panic("NerfModel::backwardPointBatchInto span sizes inconsistent with batch %zu",
               n);
-
-    const std::size_t num_shards = shardCount(n);
-    if (ws.shards.size() < num_shards)
-        ws.shards.resize(num_shards);
-
-    TrainStats &stats = trainStats();
-    stats.shard_calls.fetch_add(1, std::memory_order_relaxed);
-    stats.shards.fetch_add(num_shards, std::memory_order_relaxed);
-    stats.sharded_samples.fetch_add(n, std::memory_order_relaxed);
-
-    const auto run_shard = [&](std::size_t s) {
-        F3D_TRACE_SPAN_ARG("train", "shard", static_cast<std::int64_t>(s));
-        const std::size_t b = shardBegin(n, num_shards, s);
-        const std::size_t e = shardBegin(n, num_shards, s + 1);
-        const std::size_t cnt = e - b;
-        forwardBatch(pos.subspan(b, cnt), dirs.subspan(b, cnt), ws.shards[s].ws,
-                     sigmas.subspan(b, cnt), rgbs.subspan(b, cnt));
-    };
-    if (pool && num_shards > 1) {
-        pool->parallelFor(
-            0, static_cast<int>(num_shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s)
-                    run_shard(static_cast<std::size_t>(s));
-            },
-            1);
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            run_shard(s);
-    }
-}
-
-void
-NerfModel::backwardShard(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                         std::span<const float> dsigmas, std::span<const Vec3f> drgbs,
-                         NerfShardArena &arena) const
-{
-    const std::size_t n = pos.size();
-    NerfBatchWorkspace &ws = arena.ws;
 
     // Private MLP gradient buffers start at zero every call; assign()
     // on an already-sized vector reuses storage, so steady state is
     // allocation-free.
     arena.densityGrads.assign(density_net_->paramCount(), 0.0f);
     arena.colorGrads.assign(color_net_->paramCount(), 0.0f);
+    if (n == 0)
+        return;
 
-    // Recompute the shard's forward (recompute-in-backward), exactly as
-    // backwardBatch does for the whole batch.
+    // Recompute the batched forward to refresh the activation caches
+    // (recompute-in-backward; never visited). Size the recompute
+    // buffers before taking spans: the forward's capacity growth would
+    // reallocate them under a live span.
     if (ws.fwdSigmas.size() < n)
         ws.fwdSigmas.resize(n);
     if (ws.fwdRgbs.size() < n)
         ws.fwdRgbs.resize(n);
-    forwardBatch(pos, dirs, ws, {ws.fwdSigmas.data(), n}, {ws.fwdRgbs.data(), n});
+    forwardBatch(pos, dirs, ws, {ws.fwdSigmas.data(), n}, {ws.fwdRgbs.data(), n},
+                 nullptr);
 
+    // Color net: dL/draw = drgb * sigmoid'(raw).
     for (std::size_t j = 0; j < n; ++j) {
         for (int i = 0; i < 3; ++i) {
             const float s = ws.fwdRgbs[j][i];
@@ -359,6 +239,9 @@ NerfModel::backwardShard(std::span<const Vec3f> pos, std::span<const Vec3f> dirs
     color_net_->backwardBatchInto({ws.dColorOut.data(), 3 * n}, n, ws.colorWs,
                                   arena.colorGrads);
 
+    // Density net: raw-sigma row fused with the activation gradient,
+    // geometry-feature rows come straight from the color net's input
+    // gradient (contiguous rows 0..geoFeatures-1 of colorWs.dinput).
     for (std::size_t j = 0; j < n; ++j)
         ws.dDensityOut[j] =
             dsigmas[j] * densityActivationGrad(ws.rawSigma[j], ws.fwdSigmas[j]);
@@ -367,6 +250,8 @@ NerfModel::backwardShard(std::span<const Vec3f> pos, std::span<const Vec3f> dirs
     density_net_->backwardBatchInto({ws.dDensityOut.data(), (1 + geo) * n}, n,
                                     ws.densityWs, arena.densityGrads);
 
+    // Encoding backward: level-major batched scatter into the shard's
+    // sparse accumulator.
     encoding_->backwardBatchInto(
         pos,
         {ws.densityWs.dinput.data(), static_cast<std::size_t>(cfg_.grid.encodedDims()) * n},
@@ -374,76 +259,26 @@ NerfModel::backwardShard(std::span<const Vec3f> pos, std::span<const Vec3f> dirs
 }
 
 void
-NerfModel::backwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                                 std::span<const float> dsigmas,
-                                 std::span<const Vec3f> drgbs, NerfParallelWorkspace &ws,
-                                 ThreadPool *pool)
+NerfModel::mergeGradients(std::span<GradArena> arenas)
 {
-    const std::size_t n = pos.size();
-    if (n == 0)
+    if (arenas.empty())
         return;
-    if (dirs.size() < n || dsigmas.size() < n || drgbs.size() < n)
-        panic("NerfModel::backwardBatchParallel span sizes inconsistent with batch %zu",
-              n);
+    treeReduceInto(arenas, &GradArena::densityGrads, density_net_->grads());
+    treeReduceInto(arenas, &GradArena::colorGrads, color_net_->grads());
+    merge_ptrs_.resize(arenas.size());
+    for (std::size_t s = 0; s < arenas.size(); ++s)
+        merge_ptrs_[s] = &arenas[s].encodingGrads;
+    encoding_->mergeGradShards(merge_ptrs_);
+}
 
-    F3D_TRACE_SPAN_ARG("nerf", "backward_batch", static_cast<std::int64_t>(n));
-
-    const std::size_t num_shards = shardCount(n);
-    if (ws.shards.size() < num_shards)
-        ws.shards.resize(num_shards);
-
-    TrainStats &stats = trainStats();
-    stats.shard_calls.fetch_add(1, std::memory_order_relaxed);
-    stats.shards.fetch_add(num_shards, std::memory_order_relaxed);
-    stats.sharded_samples.fetch_add(n, std::memory_order_relaxed);
-
-    const auto run_shard = [&](std::size_t s) {
-        F3D_TRACE_SPAN_ARG("train", "shard", static_cast<std::int64_t>(s));
-        const std::size_t b = shardBegin(n, num_shards, s);
-        const std::size_t e = shardBegin(n, num_shards, s + 1);
-        const std::size_t cnt = e - b;
-        backwardShard(pos.subspan(b, cnt), dirs.subspan(b, cnt),
-                      dsigmas.subspan(b, cnt), drgbs.subspan(b, cnt), ws.shards[s]);
-    };
-    if (pool && num_shards > 1) {
-        pool->parallelFor(
-            0, static_cast<int>(num_shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s)
-                    run_shard(static_cast<std::size_t>(s));
-            },
-            1);
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            run_shard(s);
-    }
-
-    // Deterministic reduction: serial pairwise tree over the MLP shard
-    // buffers, then the level-major sparse merge for the hash grid. The
-    // order depends only on the shard count, never on scheduling.
-    {
-        F3D_TRACE_SPAN_ARG("train", "reduce", static_cast<std::int64_t>(num_shards));
-        stats.reduces.fetch_add(1, std::memory_order_relaxed);
-
-        treeReduce(ws.shards, num_shards, &NerfShardArena::densityGrads);
-        treeReduce(ws.shards, num_shards, &NerfShardArena::colorGrads);
-        {
-            const std::span<float> dg = density_net_->grads();
-            const std::span<float> cg = color_net_->grads();
-            const std::vector<float> &sd = ws.shards[0].densityGrads;
-            const std::vector<float> &sc = ws.shards[0].colorGrads;
-            for (std::size_t i = 0; i < dg.size(); ++i)
-                dg[i] += sd[i];
-            for (std::size_t i = 0; i < cg.size(); ++i)
-                cg[i] += sc[i];
-        }
-
-        if (ws.accPtrs.size() < num_shards)
-            ws.accPtrs.resize(num_shards);
-        for (std::size_t s = 0; s < num_shards; ++s)
-            ws.accPtrs[s] = &ws.shards[s].encodingGrads;
-        encoding_->mergeGradShards({ws.accPtrs.data(), num_shards});
-    }
+void
+NerfModel::backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                              std::span<const float> dsigmas,
+                              std::span<const Vec3f> drgbs, NerfBatchWorkspace &ws)
+{
+    GradArena arena;
+    backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, arena);
+    mergeGradients({&arena, 1});
 }
 
 void
@@ -464,41 +299,6 @@ NerfModel::queryDensityBatch(std::span<const Vec3f> pos, NerfBatchWorkspace &ws,
         {ws.encoding.data(), enc_dims * n}, n, ws.densityWs);
     for (std::size_t j = 0; j < n; ++j)
         sigmas[j] = densityActivation(out[j]);
-}
-
-void
-NerfModel::queryDensityBatchParallel(std::span<const Vec3f> pos,
-                                     NerfParallelWorkspace &ws, std::span<float> sigmas,
-                                     ThreadPool *pool) const
-{
-    const std::size_t n = pos.size();
-    if (n == 0)
-        return;
-    if (sigmas.size() < n)
-        panic("NerfModel::queryDensityBatchParallel output span too small");
-
-    const std::size_t num_shards = shardCount(n);
-    if (ws.shards.size() < num_shards)
-        ws.shards.resize(num_shards);
-
-    const auto run_shard = [&](std::size_t s) {
-        const std::size_t b = shardBegin(n, num_shards, s);
-        const std::size_t e = shardBegin(n, num_shards, s + 1);
-        queryDensityBatch(pos.subspan(b, e - b), ws.shards[s].ws,
-                          sigmas.subspan(b, e - b));
-    };
-    if (pool && num_shards > 1) {
-        pool->parallelFor(
-            0, static_cast<int>(num_shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s)
-                    run_shard(static_cast<std::size_t>(s));
-            },
-            1);
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            run_shard(s);
-    }
 }
 
 float
@@ -585,6 +385,30 @@ NerfModel::zeroGrads()
     encoding_->zeroGrads();
     density_net_->zeroGrads();
     color_net_->zeroGrads();
+}
+
+void
+NerfModel::optimizerStep(float lr_table, float lr_net, ThreadPool *pool)
+{
+    if (adam_.empty()) {
+        adam_.emplace_back(encoding_->paramCount(), adamFor(/*sparse=*/true));
+        adam_.emplace_back(density_net_->paramCount(), adamFor(false));
+        adam_.emplace_back(color_net_->paramCount(), adamFor(false));
+    }
+    adam_[0].setLearningRate(lr_table);
+    adam_[1].setLearningRate(lr_net);
+    adam_[2].setLearningRate(lr_net);
+    adam_[0].step(encoding_->params(), encoding_->grads(), pool);
+    adam_[1].step(density_net_->params(), density_net_->grads(), pool);
+    adam_[2].step(color_net_->params(), color_net_->grads(), pool);
+}
+
+void
+NerfModel::quantizeWeights()
+{
+    fakeQuantizeInPlace(encoding_->params());
+    fakeQuantizeInPlace(density_net_->params());
+    fakeQuantizeInPlace(color_net_->params());
 }
 
 std::size_t

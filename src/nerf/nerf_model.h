@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "common/vec.h"
+#include "nerf/adam.h"
+#include "nerf/field.h"
 #include "nerf/hash_encoding.h"
 #include "nerf/mlp.h"
 #include "nerf/sh_encoding.h"
@@ -95,40 +97,38 @@ struct NerfBatchWorkspace
 };
 
 /**
- * Everything one training shard owns: a full batch workspace plus
- * private gradient buffers for both MLPs and the hash grid. Shards
- * share no mutable state, so any number can run concurrently; the
- * trainer merges the buffers afterwards in a fixed order.
+ * The point-wise Instant-NGP model. Implements the PointPipeline ModelT
+ * contract (point_pipeline.h), so NerfPipeline is PointPipeline<NerfModel>.
+ * Beyond the contract it exposes the workspace-taking scalar oracles,
+ * packed inference weights (setInferenceQuant), and the Stage-II
+ * vertex-visitor hook the chip model traces through.
  */
-struct NerfShardArena
-{
-    NerfBatchWorkspace ws;
-    /** Private density-net gradient buffer, layout of Mlp::grads(). */
-    std::vector<float> densityGrads;
-    /** Private color-net gradient buffer, layout of Mlp::grads(). */
-    std::vector<float> colorGrads;
-    /** Private sparse hash-grid gradient accumulator. */
-    HashGradAccumulator encodingGrads;
-};
-
-/**
- * Reusable arena set for sharded batch evaluation. Grows to the shard
- * count of the largest batch seen and then allocates nothing: buffers
- * are reused across iterations, so the steady-state parallel training
- * loop is allocation-free.
- */
-struct NerfParallelWorkspace
-{
-    std::vector<NerfShardArena> shards;
-    /** Scratch pointer list handed to HashGridEncoding::mergeGradShards. */
-    std::vector<HashGradAccumulator *> accPtrs;
-};
-
-/** A trainable radiance field over the normalized unit cube. */
 class NerfModel
 {
   public:
-    explicit NerfModel(const NerfModelConfig &cfg, std::uint64_t seed = 7);
+    using Config = NerfModelConfig;
+    using BatchWorkspace = NerfBatchWorkspace;
+    static constexpr BackendKind kBackendKind = BackendKind::hashGrid;
+    /** PointPipelineConfig defaults: hash-table and MLP learning rates
+     *  and the model seed. */
+    static constexpr float kLrFactors = 1e-2f;
+    static constexpr float kLrNet = 2e-3f;
+    static constexpr std::uint64_t kPipelineSeed = 7;
+
+    /**
+     * One training shard's private gradients: dense buffers for both
+     * MLPs plus a sparse hash-grid accumulator. Shards share no mutable
+     * state, so any number can run concurrently; mergeGradients() folds
+     * them into the model in a fixed order.
+     */
+    struct GradArena
+    {
+        std::vector<float> densityGrads;
+        std::vector<float> colorGrads;
+        HashGradAccumulator encodingGrads;
+    };
+
+    explicit NerfModel(const NerfModelConfig &cfg, std::uint64_t seed = kPipelineSeed);
 
     const NerfModelConfig &config() const { return cfg_; }
     HashGridEncoding &encoding() { return *encoding_; }
@@ -167,6 +167,28 @@ class NerfModel
     void backwardPoint(const Vec3f &pos, const Vec3f &dir, float dsigma,
                        const Vec3f &drgb, PointWorkspace &ws);
 
+    /** The scalar oracles of the ModelT contract, on an internal workspace. */
+    PointEval forwardPoint(const Vec3f &pos, const Vec3f &dir)
+    {
+        return forwardPoint(pos, dir, point_ws_);
+    }
+    float queryDensity(const Vec3f &pos) { return queryDensity(pos, point_ws_); }
+    void
+    backwardPoint(const Vec3f &pos, const Vec3f &dir, float dsigma, const Vec3f &drgb)
+    {
+        backwardPoint(pos, dir, dsigma, drgb, point_ws_);
+    }
+
+    /**
+     * Stage-II access-trace observer applied by forwardPointBatch. The
+     * chip model installs one to replay hash accesses through the
+     * banked-SRAM simulation; PointPipeline evaluates each batch unsharded
+     * on the calling thread while one is attached, so the trace keeps its
+     * level-major order. Pass nullptr to detach.
+     */
+    void setVertexVisitor(VertexVisitor *v) { visitor_ = v; }
+    VertexVisitor *vertexVisitor() const { return visitor_; }
+
     /**
      * Evaluate density and color for a whole batch through the batched
      * encoding (level-major gather) and batched MLPs (blocked GEMM).
@@ -177,64 +199,16 @@ class NerfModel
      *
      * @param pos     Sample positions in [0,1]^3 (batch size = pos.size()).
      * @param dirs    Unit view direction per sample (same length).
-     * @param ws      Batch workspace; grown as needed, cached for backward.
+     * @param ws      Batch workspace; grown as needed.
      * @param sigmas  Receives pos.size() activated densities.
      * @param rgbs    Receives pos.size() activated colors.
-     * @param visitor Optional Stage-II vertex-access observer.
      */
-    void forwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                      NerfBatchWorkspace &ws, std::span<float> sigmas,
-                      std::span<Vec3f> rgbs, VertexVisitor *visitor = nullptr) const;
-
-    /**
-     * Accumulate parameter gradients for a whole batch. Recomputes the
-     * batched forward internally (recompute-in-backward, like
-     * backwardPoint), so it does NOT require a prior forwardBatch on
-     * the same workspace.
-     *
-     * @param dsigmas dL/d(sigma) per sample.
-     * @param drgbs   dL/d(rgb) per sample.
-     */
-    void backwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                       std::span<const float> dsigmas, std::span<const Vec3f> drgbs,
-                       NerfBatchWorkspace &ws);
-
-    /** Shard size the parallel paths aim for (samples per shard). */
-    static constexpr std::size_t kShardGrain = 256;
-    /** Upper bound on shards per batch (bounds arena memory). */
-    static constexpr std::size_t kMaxShards = 16;
-
-    /**
-     * Number of shards a batch of @p n samples splits into. Depends
-     * only on n — never on thread count or pool size — so the shard
-     * partition (and therefore the gradient reduction order) is fixed
-     * for a given training trajectory.
-     */
-    static std::size_t shardCount(std::size_t n);
-
-    /**
-     * forwardBatch split into shardCount(n) fixed shards executed via
-     * @p pool (inline when @p pool is null). forwardBatch is batch-size
-     * invariant per sample, so the result is bit-exact with the serial
-     * call at any thread count.
-     */
-    void forwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                              NerfParallelWorkspace &ws, std::span<float> sigmas,
-                              std::span<Vec3f> rgbs, ThreadPool *pool) const;
-
-    /**
-     * backwardBatch split into fixed shards: each shard recomputes its
-     * forward and accumulates gradients into its private arena buffers
-     * (backwardBatchInto), then a deterministic reduction merges them —
-     * a serial pairwise tree over the MLP shard buffers and a
-     * level-major sparse merge for the hash grid. For a given shard
-     * partition the summation order is fixed, so training with a pool
-     * reproduces bit-identical weights at any thread count.
-     */
-    void backwardBatchParallel(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                               std::span<const float> dsigmas,
-                               std::span<const Vec3f> drgbs, NerfParallelWorkspace &ws,
-                               ThreadPool *pool);
+    void forwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                           NerfBatchWorkspace &ws, std::span<float> sigmas,
+                           std::span<Vec3f> rgbs) const
+    {
+        forwardBatch(pos, dirs, ws, sigmas, rgbs, visitor_);
+    }
 
     /**
      * Density-only batched evaluation (occupancy-grid updates): batched
@@ -244,12 +218,45 @@ class NerfModel
     void queryDensityBatch(std::span<const Vec3f> pos, NerfBatchWorkspace &ws,
                            std::span<float> sigmas) const;
 
-    /** queryDensityBatch over fixed shards executed via @p pool. */
-    void queryDensityBatchParallel(std::span<const Vec3f> pos, NerfParallelWorkspace &ws,
-                                   std::span<float> sigmas, ThreadPool *pool) const;
+    /**
+     * One shard's backward: recomputes the batched forward, then
+     * overwrites @p arena with the shard's parameter gradients. Const,
+     * so shards with private workspaces and arenas run concurrently.
+     *
+     * @param dsigmas dL/d(sigma) per sample.
+     * @param drgbs   dL/d(rgb) per sample.
+     */
+    void backwardPointBatchInto(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                                std::span<const float> dsigmas,
+                                std::span<const Vec3f> drgbs, NerfBatchWorkspace &ws,
+                                GradArena &arena) const;
+
+    /**
+     * Add every shard's arena into the model gradients: a serial
+     * pairwise tree over the MLP buffers, then the level-major sparse
+     * merge for the hash grid. The order depends only on the shard
+     * count, never on scheduling.
+     */
+    void mergeGradients(std::span<GradArena> arenas);
+
+    /** Serial batched backward: one arena, then mergeGradients. */
+    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                            std::span<const float> dsigmas,
+                            std::span<const Vec3f> drgbs, NerfBatchWorkspace &ws);
 
     /** Zero all parameter gradients (encoding and both MLPs). */
     void zeroGrads();
+
+    /**
+     * Adam step of all three blocks (the hash table skips untouched
+     * entries). Every parameter updates independently, so the pool split
+     * is bit-exact with the serial step. Optimizer moments are allocated
+     * by the first step, so inference-only models never carry them.
+     */
+    void optimizerStep(float lr_table, float lr_net, ThreadPool *pool = nullptr);
+
+    /** Fake-quantize all weights through INT8 (Table II experiment). */
+    void quantizeWeights();
 
     /** Total trainable parameter count. */
     std::size_t paramCount() const;
@@ -267,6 +274,9 @@ class NerfModel
     /** Numeric format the batched inference path reads weights in. */
     QuantMode inferenceQuantMode() const { return encoding_->quantMode(); }
 
+    /** True until setInferenceQuant dropped the fp32 masters. */
+    bool hasFp32Weights() const { return encoding_->hasFp32Weights(); }
+
     /** Bytes of resident parameter storage across all blocks. */
     std::size_t residentParamBytes() const;
 
@@ -279,16 +289,24 @@ class NerfModel
     static float densityActivationGrad(float raw, float sigma);
 
   private:
-    /** Backward of one shard into its private arena buffers. */
-    void backwardShard(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                       std::span<const float> dsigmas, std::span<const Vec3f> drgbs,
-                       NerfShardArena &arena) const;
+    void forwardBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                      NerfBatchWorkspace &ws, std::span<float> sigmas,
+                      std::span<Vec3f> rgbs, VertexVisitor *visitor) const;
 
     NerfModelConfig cfg_;
     std::unique_ptr<HashGridEncoding> encoding_;
     std::unique_ptr<Mlp> density_net_;
     std::unique_ptr<Mlp> color_net_;
+    PointWorkspace point_ws_;
+    VertexVisitor *visitor_ = nullptr;
+    /** Table, density-net and color-net moments (empty until trained). */
+    std::vector<Adam> adam_;
+    /** Scratch pointer list handed to HashGridEncoding::mergeGradShards. */
+    std::vector<HashGradAccumulator *> merge_ptrs_;
 };
+
+/** Serveable-field wrapper over the hash-grid model. */
+using HashGridServeField = PointServeField<NerfModel>;
 
 } // namespace fusion3d::nerf
 

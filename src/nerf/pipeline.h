@@ -3,131 +3,24 @@
  * The complete single-model NeRF pipeline: Stage I (sampling through the
  * occupancy gate), Stage II (hash-grid feature interpolation), and
  * Stage III (MLP + volumetric compositing), with training support.
- * This is the workload one Fusion-3D chip executes end to end.
+ * This is the workload one Fusion-3D chip executes end to end; it is
+ * the generic PointPipeline over the hash-grid NerfModel.
  */
 
 #ifndef FUSION3D_NERF_PIPELINE_H_
 #define FUSION3D_NERF_PIPELINE_H_
 
-#include <memory>
-#include <vector>
-
-#include "nerf/adam.h"
-#include "nerf/batch_evaluator.h"
 #include "nerf/nerf_model.h"
-#include "nerf/occupancy_grid.h"
-#include "nerf/radiance_field.h"
-#include "nerf/renderer.h"
-#include "nerf/sample_batch.h"
-#include "nerf/sampler.h"
+#include "nerf/point_pipeline.h"
 
 namespace fusion3d::nerf
 {
 
-/** Pipeline-level configuration. */
-struct PipelineConfig
-{
-    NerfModelConfig model;
-    SamplerConfig sampler;
-    RenderParams render;
-    int occupancyResolution = 48;
-    float occupancyThreshold = 0.01f;
-    /** Compact occupancy-empty samples out of the batch before the
-     *  model forward (RayBatchEvaluator::setCompaction). Composited
-     *  colors stay bit-identical to the gated path. */
-    bool occupancyCompaction = false;
-    float lrEncoding = 1e-2f;
-    float lrNet = 2e-3f;
-    std::uint64_t seed = 7;
-};
+/** Hash-grid pipeline configuration (defaults from NerfModel). */
+using PipelineConfig = PointPipelineConfig<NerfModel>;
 
-/** Single-model pipeline implementing the RadianceField interface. */
-class NerfPipeline : public RadianceField
-{
-  public:
-    using Config = PipelineConfig;
-
-    explicit NerfPipeline(const PipelineConfig &cfg);
-
-    const PipelineConfig &config() const { return cfg_; }
-    NerfModel &model() { return *model_; }
-    const NerfModel &model() const { return *model_; }
-    OccupancyGrid &grid() { return grid_; }
-    const OccupancyGrid &grid() const { return grid_; }
-    const RaySampler &sampler() const { return sampler_; }
-
-    /**
-     * Stage-II access-trace observer applied during traceRay. The chip
-     * model installs one to replay hash accesses through the banked-SRAM
-     * simulation. Pass nullptr to detach.
-     */
-    void setVertexVisitor(VertexVisitor *v) { visitor_ = v; }
-
-    /** Toggle occupancy-driven sample compaction at runtime. */
-    void setOccupancyCompaction(bool on) { eval_.setCompaction(on); }
-    bool occupancyCompaction() const { return eval_.compaction(); }
-    /** Batch-vs-model sample counts of the last traceRays call. */
-    RayBatchEvaluator::CompactionStats lastCompaction() const
-    {
-        return eval_.lastCompaction();
-    }
-
-    /** Scalar entry point; delegates to traceRays with a batch of one,
-     *  so every evaluation rides the batched SoA core. */
-    RayEval traceRay(const Ray &ray, Pcg32 &rng, bool record,
-                     RayWorkload *workload = nullptr) override;
-    void backwardLastRay(const Vec3f &dcolor) override;
-
-    /**
-     * Batch-native override: Stage I samples every ray into one
-     * SampleBatch (CSR per-ray ranges), one NerfModel::forwardBatch
-     * evaluates the flattened samples, and each ray composites over its
-     * offset range. record=true keeps the whole batch as the tape for
-     * backwardRays().
-     */
-    void traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
-                   std::span<RayEval> out, RayWorkload *workload = nullptr) override;
-    /** Composite-backward per ray, then one batched model backward. */
-    void backwardRays(std::span<const Vec3f> dcolors) override;
-
-    void updateOccupancy(Pcg32 &rng) override;
-    void quantizeWeights() override;
-    std::size_t paramCount() const override;
-
-    /**
-     * Tiled inference render (parallel_render row tiling, jitter off);
-     * bit-identical at any thread count. Always available here.
-     */
-    bool renderViewTiled(const Camera &camera, ThreadPool &pool, Image &out) override;
-
-  protected:
-    void zeroGradsImpl() override;
-    void optimizerStepImpl() override;
-    void invalidateTapes() override;
-
-  private:
-    PipelineConfig cfg_;
-    VertexVisitor *visitor_ = nullptr;
-    std::unique_ptr<NerfModel> model_;
-    OccupancyGrid grid_;
-    RaySampler sampler_;
-    PointWorkspace ws_;
-    NerfBatchWorkspace batch_ws_;
-
-    Adam adam_encoding_;
-    Adam adam_density_;
-    Adam adam_color_;
-
-    /** Shared Stage I/III machinery: CSR batch build, compositing,
-     *  composite tape (the hoisted former pipeline internals). */
-    RayBatchEvaluator eval_{"NerfPipeline"};
-
-    // Parallel-training arenas (used only when a pool is attached);
-    // grown once, allocation-free in steady state.
-    NerfParallelWorkspace par_ws_;
-    std::vector<Vec3f> occ_positions_;
-    std::vector<float> occ_densities_;
-};
+/** Single-model hash-grid pipeline implementing RadianceField. */
+using NerfPipeline = PointPipeline<NerfModel>;
 
 } // namespace fusion3d::nerf
 

@@ -1,18 +1,19 @@
 /**
  * @file
- * Generic end-to-end pipeline over a self-contained point model: Stage
- * I sampling through the occupancy gate, batched model evaluation,
- * Stage III compositing, and the training tape. TensoRF and the
- * frequency-encoded (vanilla/MetaVRain-style) NeRF instantiate this;
- * the hash-grid pipeline keeps its dedicated class (NerfPipeline)
- * because it additionally exposes the Stage-II vertex-trace hooks the
- * chip model consumes. Both share the same hoisted RayBatchEvaluator,
- * so every backend rides the identical CSR-batch/composite machinery.
+ * The end-to-end pipeline over a self-contained point model: Stage I
+ * sampling through the occupancy gate, batched model evaluation through
+ * one shard engine, Stage III compositing, and the training tape. Every
+ * backend instantiates it: the hash-grid NerfModel (NerfPipeline, the
+ * workload one Fusion-3D chip executes), TensoRF, and the frequency-
+ * encoded (vanilla/MetaVRain-style) NeRF.
  *
  * A ModelT must provide (the "batched point model" contract):
  *   using Config = ...;
  *   using BatchWorkspace = ...;                       // batched scratch
+ *   using GradArena = ...;                            // one shard's gradients
  *   static constexpr BackendKind kBackendKind = ...;
+ *   static constexpr float kLrFactors, kLrNet;        // config defaults
+ *   static constexpr std::uint64_t kPipelineSeed;     // config default
  *   ModelT(const Config &, std::uint64_t seed);
  *   // Scalar oracle (bit-exactness reference):
  *   PointEval forwardPoint(const Vec3f &pos, const Vec3f &dir);
@@ -22,15 +23,18 @@
  *   BatchWorkspace makeBatchWorkspace() const;
  *   void forwardPointBatch(pos, dirs, ws, sigmas, rgbs) const;  // bit-exact/sample
  *   void queryDensityBatch(pos, ws, sigmas) const;              // bit-exact/sample
- *   void backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);     // into model grads
- *   std::size_t gradCount() const;
- *   void backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, grads) const;
- *   void accumulateGradients(std::span<const float> grads);     // shard merge
+ *   void backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, arena) const;
+ *                                                     // overwrites the arena
+ *   void mergeGradients(std::span<GradArena> arenas); // all shards, fixed order
  *   // Training plumbing:
  *   void zeroGrads();
- *   void optimizerStep(float lr_a, float lr_b);
+ *   void optimizerStep(float lr_factors, float lr_net, ThreadPool *pool);
  *   void quantizeWeights();
  *   std::size_t paramCount() const;
+ *
+ * Optional capability: `VertexVisitor *vertexVisitor() const` (the hash
+ * grid's Stage-II access trace). While it returns non-null, forward
+ * batches run as one unsharded call on the calling thread.
  */
 
 #ifndef FUSION3D_NERF_POINT_PIPELINE_H_
@@ -49,15 +53,16 @@
 #include "nerf/radiance_field.h"
 #include "nerf/renderer.h"
 #include "nerf/sampler.h"
+#include "obs/trace.h"
 
 namespace fusion3d::nerf
 {
 
-/** Pipeline configuration over a model-config type. */
-template <class ModelConfigT>
+/** Pipeline configuration over a model type. */
+template <class ModelT>
 struct PointPipelineConfig
 {
-    ModelConfigT model;
+    typename ModelT::Config model;
     SamplerConfig sampler;
     RenderParams render;
     int occupancyResolution = 48;
@@ -66,23 +71,24 @@ struct PointPipelineConfig
      *  model forward (RayBatchEvaluator::setCompaction). Composited
      *  colors stay bit-identical to the gated path. */
     bool occupancyCompaction = false;
-    /** Learning rate of the model's field/factor parameters. */
-    float lrFactors = 2e-2f;
+    /** Learning rate of the model's field parameters (hash table, line
+     *  factors, or MLP trunk). */
+    float lrFactors = ModelT::kLrFactors;
     /** Learning rate of the model's network parameters. */
-    float lrNet = 2e-3f;
-    std::uint64_t seed = 31;
+    float lrNet = ModelT::kLrNet;
+    std::uint64_t seed = ModelT::kPipelineSeed;
 };
 
-/** The generic batch-native pipeline. */
+/** The batch-native pipeline over any point model. */
 template <class ModelT>
 class PointPipeline : public RadianceField
 {
   public:
-    using Config = PointPipelineConfig<typename ModelT::Config>;
+    using Config = PointPipelineConfig<ModelT>;
 
-    /** Samples per shard / shard cap of the pooled batch paths — the
-     *  same partition policy as NerfModel, fixed by batch size alone so
-     *  results are identical at any pool size. */
+    /** Samples per shard and shard cap of the shard engine. The
+     *  partition depends on batch size alone, so results are identical
+     *  at any pool size, or with none. */
     static constexpr std::size_t kShardGrain = 256;
     static constexpr std::size_t kMaxShards = 16;
 
@@ -178,26 +184,27 @@ class PointPipeline : public RadianceField
     /**
      * Batch-native override: Stage I samples every ray into one CSR
      * SampleBatch, the model's batched forward evaluates the flattened
-     * samples (pool-sharded over a fixed partition when a pool is
-     * attached — bit-exact at any pool size because every sample's
-     * arithmetic is batch-invariant), and each ray composites over its
-     * offset range. record=true keeps the batch as the backwardRays
-     * tape.
+     * samples through the shard engine (bit-exact at any pool size
+     * because every sample's arithmetic is batch-invariant), and each
+     * ray composites over its offset range. record=true keeps the batch
+     * as the backwardRays tape.
      */
     void
     traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
               std::span<RayEval> out, RayWorkload *workload = nullptr) override
     {
         eval_.traceRays(sampler_, &grid_, cfg_.render, rays, rng, record, out,
-                        workload, pool_,
-                        [&](SampleBatch &batch) { forwardSharded(batch); });
+                        workload, pool_, [&](SampleBatch &batch) {
+                            forwardSharded(batch.positions, batch.dirs, batch.sigmas,
+                                           batch.rgbs);
+                        });
     }
 
     /**
-     * Composite-backward per ray, then one batched model backward —
-     * per-shard private gradient buffers merged in fixed shard order
-     * when a pool is attached, so trained weights are bit-identical at
-     * any pool size.
+     * Composite-backward per ray, then one batched model backward
+     * through the shard engine: per-shard gradient arenas merged by the
+     * model in fixed shard order, so trained weights are bit-identical
+     * at any pool size, or with none.
      */
     void
     backwardRays(std::span<const Vec3f> dcolors) override
@@ -206,25 +213,24 @@ class PointPipeline : public RadianceField
                            [&](const SampleBatch &batch,
                                std::span<const float> dsigmas,
                                std::span<const Vec3f> drgbs) {
-                               backwardSharded(batch, dsigmas, drgbs);
+                               backwardSharded(batch.positions, batch.dirs, dsigmas,
+                                               drgbs);
                            });
     }
 
+    /**
+     * Split occupancy update: the jitter draws happen serially in cell
+     * order (the rng stream of OccupancyGrid::update), then the probes
+     * run as one sharded density batch — bit-exact per sample with the
+     * scalar queryDensity path.
+     */
     void
     updateOccupancy(Pcg32 &rng) override
     {
-        if (pool_) {
-            // Split update: the jitter draws happen serially in cell
-            // order (identical rng stream to grid_.update), then the
-            // probes run as one sharded density batch — bit-exact per
-            // sample with the scalar queryDensity path.
-            grid_.collectProbePositions(rng, occ_positions_);
-            occ_densities_.resize(occ_positions_.size());
-            queryDensitySharded(occ_positions_, occ_densities_);
-            grid_.applyDensities(occ_densities_);
-            return;
-        }
-        grid_.update([this](const Vec3f &p) { return model_->queryDensity(p); }, rng);
+        grid_.collectProbePositions(rng, occ_positions_);
+        occ_densities_.resize(occ_positions_.size());
+        queryDensitySharded(occ_positions_, occ_densities_);
+        grid_.applyDensities(occ_densities_);
     }
 
     void quantizeWeights() override { model_->quantizeWeights(); }
@@ -255,148 +261,119 @@ class PointPipeline : public RadianceField
     void
     optimizerStepImpl() override
     {
-        model_->optimizerStep(cfg_.lrFactors, cfg_.lrNet);
+        model_->optimizerStep(cfg_.lrFactors, cfg_.lrNet, pool_);
     }
 
     void
     invalidateTapes() override
     {
-        RadianceField::invalidateTapes();
         eval_.invalidateTape();
         tape_valid_ = false;
     }
 
   private:
-    /** Fixed shard partition: shard s of S covers [s*n/S, (s+1)*n/S). */
-    static std::size_t
-    shardBegin(std::size_t n, std::size_t shards, std::size_t s)
-    {
-        return s * n / shards;
-    }
-
     static std::size_t
     shardCount(std::size_t n)
     {
         return std::min(kMaxShards, (n + kShardGrain - 1) / kShardGrain);
     }
 
-    /** Grow the per-shard workspace set to at least @p shards. */
+    /** True while the model traces Stage-II accesses (hash grid only). */
+    bool
+    visitorAttached() const
+    {
+        if constexpr (requires(const ModelT &m) { m.vertexVisitor(); })
+            return model_->vertexVisitor() != nullptr;
+        else
+            return false;
+    }
+
+    /**
+     * The shard engine: run fn(s, lo, hi) for each of @p shards fixed
+     * contiguous shards [s*n/S, (s+1)*n/S) of an n-sample batch — on
+     * the pool when one is attached, inline in shard order otherwise.
+     * Each shard owns workspace shard_ws_[s].
+     */
+    template <class Fn>
     void
-    growShardWorkspaces(std::size_t shards)
+    forEachShard(std::size_t n, std::size_t shards, Fn &&fn)
     {
         while (shard_ws_.size() < shards)
             shard_ws_.push_back(model_->makeBatchWorkspace());
+        const auto run = [&](std::size_t s) {
+            fn(s, s * n / shards, (s + 1) * n / shards);
+        };
+        if (pool_ && shards > 1) {
+            pool_->parallelFor(
+                0, static_cast<int>(shards),
+                [&](int b, int e) {
+                    for (int s = b; s < e; ++s)
+                        run(static_cast<std::size_t>(s));
+                },
+                /*grain=*/1);
+        } else {
+            for (std::size_t s = 0; s < shards; ++s)
+                run(s);
+        }
     }
 
     void
-    forwardSharded(SampleBatch &batch)
+    forwardSharded(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                   std::span<float> sigmas, std::span<Vec3f> rgbs)
     {
-        const std::size_t n = batch.size();
+        const std::size_t n = pos.size();
         if (n == 0)
             return;
-        const std::size_t shards = shardCount(n);
-        if (!pool_ || shards <= 1) {
-            model_->forwardPointBatch(batch.positions, batch.dirs, batch_ws_,
-                                      batch.sigmas, batch.rgbs);
-            return;
-        }
-        growShardWorkspaces(shards);
+        // An attached vertex visitor sees the whole batch as one call,
+        // so the access trace keeps its level-major order.
+        const std::size_t shards = visitorAttached() ? 1 : shardCount(n);
+        noteShardedCall(n, shards);
         const ModelT &model = *model_;
-        pool_->parallelFor(
-            0, static_cast<int>(shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s) {
-                    const std::size_t lo =
-                        shardBegin(n, shards, static_cast<std::size_t>(s));
-                    const std::size_t hi =
-                        shardBegin(n, shards, static_cast<std::size_t>(s) + 1);
-                    if (lo == hi)
-                        continue;
-                    model.forwardPointBatch(
-                        std::span<const Vec3f>(batch.positions).subspan(lo, hi - lo),
-                        std::span<const Vec3f>(batch.dirs).subspan(lo, hi - lo),
-                        shard_ws_[static_cast<std::size_t>(s)],
-                        std::span<float>(batch.sigmas).subspan(lo, hi - lo),
-                        std::span<Vec3f>(batch.rgbs).subspan(lo, hi - lo));
-                }
-            },
-            /*grain=*/1);
+        forEachShard(n, shards, [&](std::size_t s, std::size_t lo, std::size_t hi) {
+            F3D_TRACE_SPAN_ARG("train", "shard", s);
+            model.forwardPointBatch(pos.subspan(lo, hi - lo), dirs.subspan(lo, hi - lo),
+                                    shard_ws_[s], sigmas.subspan(lo, hi - lo),
+                                    rgbs.subspan(lo, hi - lo));
+        });
     }
 
     void
-    backwardSharded(const SampleBatch &batch, std::span<const float> dsigmas,
-                    std::span<const Vec3f> drgbs)
+    backwardSharded(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                    std::span<const float> dsigmas, std::span<const Vec3f> drgbs)
     {
-        const std::size_t n = batch.size();
+        const std::size_t n = pos.size();
         if (n == 0)
             return;
+        F3D_TRACE_SPAN_ARG("nerf", "backward_batch", n);
         const std::size_t shards = shardCount(n);
-        if (!pool_ || shards <= 1) {
-            model_->backwardPointBatch(batch.positions, batch.dirs, dsigmas, drgbs,
-                                       batch_ws_);
-            return;
-        }
-        growShardWorkspaces(shards);
+        noteShardedCall(n, shards);
         if (shard_grads_.size() < shards)
             shard_grads_.resize(shards);
         const ModelT &model = *model_;
-        pool_->parallelFor(
-            0, static_cast<int>(shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s) {
-                    const std::size_t lo =
-                        shardBegin(n, shards, static_cast<std::size_t>(s));
-                    const std::size_t hi =
-                        shardBegin(n, shards, static_cast<std::size_t>(s) + 1);
-                    std::vector<float> &grads =
-                        shard_grads_[static_cast<std::size_t>(s)];
-                    grads.assign(model.gradCount(), 0.0f);
-                    if (lo == hi)
-                        continue;
-                    model.backwardPointBatchInto(
-                        std::span<const Vec3f>(batch.positions).subspan(lo, hi - lo),
-                        std::span<const Vec3f>(batch.dirs).subspan(lo, hi - lo),
-                        dsigmas.subspan(lo, hi - lo), drgbs.subspan(lo, hi - lo),
-                        shard_ws_[static_cast<std::size_t>(s)], grads);
-                }
-            },
-            /*grain=*/1);
-        // Deterministic reduction: shard-ascending merge into the model
-        // accumulators — the order depends only on the partition, never
-        // on pool size or completion order.
-        for (std::size_t s = 0; s < shards; ++s)
-            model_->accumulateGradients(shard_grads_[s]);
+        forEachShard(n, shards, [&](std::size_t s, std::size_t lo, std::size_t hi) {
+            F3D_TRACE_SPAN_ARG("train", "shard", s);
+            model.backwardPointBatchInto(
+                pos.subspan(lo, hi - lo), dirs.subspan(lo, hi - lo),
+                dsigmas.subspan(lo, hi - lo), drgbs.subspan(lo, hi - lo), shard_ws_[s],
+                shard_grads_[s]);
+        });
+        // Deterministic reduction: the model merges every arena in an
+        // order fixed by the partition, never by pool size or
+        // completion order.
+        F3D_TRACE_SPAN_ARG("train", "reduce", shards);
+        noteGradientReduce();
+        model_->mergeGradients(std::span(shard_grads_).first(shards));
     }
 
     void
     queryDensitySharded(std::span<const Vec3f> pos, std::span<float> sigmas)
     {
-        const std::size_t n = pos.size();
-        if (n == 0)
-            return;
-        const std::size_t shards = shardCount(n);
-        if (!pool_ || shards <= 1) {
-            model_->queryDensityBatch(pos, batch_ws_, sigmas);
-            return;
-        }
-        growShardWorkspaces(shards);
         const ModelT &model = *model_;
-        pool_->parallelFor(
-            0, static_cast<int>(shards),
-            [&](int b, int e) {
-                for (int s = b; s < e; ++s) {
-                    const std::size_t lo =
-                        shardBegin(n, shards, static_cast<std::size_t>(s));
-                    const std::size_t hi =
-                        shardBegin(n, shards, static_cast<std::size_t>(s) + 1);
-                    if (lo == hi)
-                        continue;
-                    model.queryDensityBatch(pos.subspan(lo, hi - lo),
-                                            shard_ws_[static_cast<std::size_t>(s)],
-                                            sigmas.subspan(lo, hi - lo));
-                }
-            },
-            /*grain=*/1);
+        forEachShard(pos.size(), shardCount(pos.size()),
+                     [&](std::size_t s, std::size_t lo, std::size_t hi) {
+                         model.queryDensityBatch(pos.subspan(lo, hi - lo), shard_ws_[s],
+                                                 sigmas.subspan(lo, hi - lo));
+                     });
     }
 
     Config cfg_;
@@ -404,7 +381,7 @@ class PointPipeline : public RadianceField
     OccupancyGrid grid_;
     RaySampler sampler_;
 
-    /** Shared Stage I/III machinery (hoisted from NerfPipeline). */
+    /** Stage I/III machinery: batch build, compositing, tape. */
     RayBatchEvaluator eval_{"PointPipeline"};
 
     // Scalar-oracle tape (traceRay/backwardLastRay).
@@ -420,12 +397,10 @@ class PointPipeline : public RadianceField
     std::vector<RaySample> scratch_samples_;
     CompositeBackwardScratch composite_scratch_;
 
-    // Batched-evaluation scratch: the serial workspace plus per-shard
-    // workspaces and private gradient buffers for the pooled paths.
+    // Shard-engine scratch: per-shard workspaces and gradient arenas.
     // Grown once, allocation-free in steady state.
-    typename ModelT::BatchWorkspace batch_ws_;
     std::vector<typename ModelT::BatchWorkspace> shard_ws_;
-    std::vector<std::vector<float>> shard_grads_;
+    std::vector<typename ModelT::GradArena> shard_grads_;
     std::vector<Vec3f> occ_positions_;
     std::vector<float> occ_densities_;
 };

@@ -1,9 +1,9 @@
 /**
  * @file
- * Abstract trainable radiance field. Both the single-model pipeline
- * (one chip) and the Mixture-of-Experts model (multi-chip, Technique T3)
- * implement this interface, so the Trainer and the evaluation harness
- * are agnostic to which one they drive.
+ * Abstract trainable radiance field. The single-model pipeline
+ * (PointPipeline<ModelT>, one chip) and the Mixture-of-Experts model
+ * (multi-chip, Technique T3) implement this interface, so the Trainer
+ * and the evaluation harness are agnostic to which one they drive.
  */
 
 #ifndef FUSION3D_NERF_RADIANCE_FIELD_H_
@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "common/ray.h"
 #include "common/rng.h"
@@ -67,13 +66,10 @@ class RadianceField
     virtual void backwardLastRay(const Vec3f &dcolor) = 0;
 
     /**
-     * Render a batch of rays. The base implementation loops traceRay()
-     * per ray in order (so jitter streams match the scalar path) and,
-     * when @p record is set, snapshots the rng per ray so the base
-     * backwardRays() can re-trace each ray. Batch-native fields
-     * (NerfPipeline, MoeField) override both with one flattened
-     * SoA evaluation — every consumer of this entry point rides the
-     * GEMM-shaped batch core.
+     * Render a batch of rays as one flattened SoA evaluation, consuming
+     * @p rng ray by ray in order (so jitter streams match the scalar
+     * path) — every consumer of this entry point rides the GEMM-shaped
+     * batch core.
      *
      * @param rays     Rays in normalized model coordinates.
      * @param rng      Source of sampling jitter, consumed ray by ray.
@@ -82,15 +78,13 @@ class RadianceField
      * @param workload Optional aggregate Stage-I trace over the batch.
      */
     virtual void traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
-                           std::span<RayEval> out, RayWorkload *workload = nullptr);
+                           std::span<RayEval> out, RayWorkload *workload = nullptr) = 0;
 
     /**
      * Backpropagate per-ray dL/d(color) for the batch recorded by the
-     * last traceRays(record=true). The base implementation re-traces
-     * each ray from its rng snapshot (recompute-in-backward) and calls
-     * backwardLastRay per ray.
+     * last traceRays(record=true).
      */
-    virtual void backwardRays(std::span<const Vec3f> dcolors);
+    virtual void backwardRays(std::span<const Vec3f> dcolors) = 0;
 
     /**
      * Zero all accumulated parameter gradients. Non-virtual template
@@ -130,10 +124,11 @@ class RadianceField
     /**
      * Attach a thread pool the field may use to parallelize batched
      * work (traceRays/backwardRays sharding, optimizerStep,
-     * updateOccupancy). Null detaches; the pool must outlive the
-     * field's use of it. With a pool attached, results are reproducible
-     * for a given seed at ANY pool size — the shard partition and
-     * gradient reduction order are fixed by batch size alone.
+     * updateOccupancy). Null detaches and runs the same work inline;
+     * the pool must outlive the field's use of it. Results are
+     * reproducible for a given seed with any pool size or none — the
+     * shard partition and gradient reduction order are fixed by batch
+     * size alone.
      */
     virtual void setThreadPool(ThreadPool *pool) { pool_ = pool; }
     ThreadPool *threadPool() const { return pool_; }
@@ -161,23 +156,13 @@ class RadianceField
 
     /**
      * Drop every recorded evaluation tape so a stale backwardRays() /
-     * backwardLastRay() panics instead of re-tracing against updated
-     * weights. Derived fields with native tapes extend this (calling
-     * the base version) to clear theirs too.
+     * backwardLastRay() panics instead of replaying against updated
+     * weights.
      */
-    virtual void invalidateTapes() { fallback_valid_ = false; }
+    virtual void invalidateTapes() = 0;
 
     /** Pool attached via setThreadPool (null = serial). */
     ThreadPool *pool_ = nullptr;
-
-  private:
-    // Batch tape of the base traceRays()/backwardRays() fallback:
-    // the rays and a per-ray rng snapshot (Pcg32 is a trivially
-    // copyable value type), enough to re-trace each ray with identical
-    // jitter during the backward pass.
-    std::vector<Ray> fallback_rays_;
-    std::vector<Pcg32> fallback_rngs_;
-    bool fallback_valid_ = false;
 };
 
 } // namespace fusion3d::nerf

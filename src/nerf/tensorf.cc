@@ -437,72 +437,56 @@ TensorfModel::scatterFactorGradients(std::span<const Vec3f> pos,
 }
 
 void
+TensorfModel::backwardPointBatchInto(std::span<const Vec3f> pos,
+                                     std::span<const Vec3f> dirs,
+                                     std::span<const float> dsigmas,
+                                     std::span<const Vec3f> drgbs, BatchWorkspace &ws,
+                                     GradArena &grads) const
+{
+    const std::size_t n = pos.size();
+    grads.assign(paramCount(), 0.0f);
+    if (ws.fwdSigmas.size() < n)
+        ws.fwdSigmas.resize(n);
+    if (ws.fwdRgbs.size() < n)
+        ws.fwdRgbs.resize(n);
+    forwardPointBatch(pos, dirs, ws, ws.fwdSigmas, ws.fwdRgbs);
+
+    if (ws.dColorOut.size() < 3 * n)
+        ws.dColorOut.resize(3 * n);
+    for (std::size_t s = 0; s < n; ++s) {
+        for (int i = 0; i < 3; ++i) {
+            const float sv = ws.fwdRgbs[s][i];
+            ws.dColorOut[static_cast<std::size_t>(i) * n + s] =
+                drgbs[s][i] * sv * (1.0f - sv);
+        }
+    }
+    const std::span<float> out(grads);
+    color_net_->backwardBatchInto({ws.dColorOut.data(), 3 * n}, n, ws.colorWs,
+                                  out.subspan(params_.size()));
+    scatterFactorGradients(pos, dsigmas, ws, out.first(params_.size()));
+}
+
+void
+TensorfModel::mergeGradients(std::span<GradArena> arenas)
+{
+    const std::span<float> cg = color_net_->grads();
+    for (const GradArena &grads : arenas) {
+        for (std::size_t i = 0; i < grads_.size(); ++i)
+            grads_[i] += grads[i];
+        for (std::size_t i = 0; i < cg.size(); ++i)
+            cg[i] += grads[grads_.size() + i];
+    }
+}
+
+void
 TensorfModel::backwardPointBatch(std::span<const Vec3f> pos,
                                  std::span<const Vec3f> dirs,
                                  std::span<const float> dsigmas,
                                  std::span<const Vec3f> drgbs, BatchWorkspace &ws)
 {
-    const std::size_t n = pos.size();
-    if (ws.fwdSigmas.size() < n)
-        ws.fwdSigmas.resize(n);
-    if (ws.fwdRgbs.size() < n)
-        ws.fwdRgbs.resize(n);
-    forwardPointBatch(pos, dirs, ws, ws.fwdSigmas, ws.fwdRgbs);
-
-    if (ws.dColorOut.size() < 3 * n)
-        ws.dColorOut.resize(3 * n);
-    for (std::size_t s = 0; s < n; ++s) {
-        for (int i = 0; i < 3; ++i) {
-            const float sv = ws.fwdRgbs[s][i];
-            ws.dColorOut[static_cast<std::size_t>(i) * n + s] =
-                drgbs[s][i] * sv * (1.0f - sv);
-        }
-    }
-    color_net_->backwardBatch({ws.dColorOut.data(), 3 * n}, n, ws.colorWs);
-    scatterFactorGradients(pos, dsigmas, ws, grads_);
-}
-
-void
-TensorfModel::backwardPointBatchInto(std::span<const Vec3f> pos,
-                                     std::span<const Vec3f> dirs,
-                                     std::span<const float> dsigmas,
-                                     std::span<const Vec3f> drgbs, BatchWorkspace &ws,
-                                     std::span<float> grads) const
-{
-    const std::size_t n = pos.size();
-    if (grads.size() < gradCount())
-        panic("TensorfModel::backwardPointBatchInto: gradient span too small");
-    if (ws.fwdSigmas.size() < n)
-        ws.fwdSigmas.resize(n);
-    if (ws.fwdRgbs.size() < n)
-        ws.fwdRgbs.resize(n);
-    forwardPointBatch(pos, dirs, ws, ws.fwdSigmas, ws.fwdRgbs);
-
-    if (ws.dColorOut.size() < 3 * n)
-        ws.dColorOut.resize(3 * n);
-    for (std::size_t s = 0; s < n; ++s) {
-        for (int i = 0; i < 3; ++i) {
-            const float sv = ws.fwdRgbs[s][i];
-            ws.dColorOut[static_cast<std::size_t>(i) * n + s] =
-                drgbs[s][i] * sv * (1.0f - sv);
-        }
-    }
-    color_net_->backwardBatchInto({ws.dColorOut.data(), 3 * n}, n, ws.colorWs,
-                                  grads.subspan(params_.size()));
-    scatterFactorGradients(pos, dsigmas, ws, grads.first(params_.size()));
-}
-
-void
-TensorfModel::accumulateGradients(std::span<const float> grads)
-{
-    if (grads.size() < gradCount())
-        panic("TensorfModel::accumulateGradients: gradient span too small");
-    for (std::size_t i = 0; i < grads_.size(); ++i)
-        grads_[i] += grads[i];
-    const std::span<float> cg = color_net_->grads();
-    const std::size_t off = grads_.size();
-    for (std::size_t i = 0; i < cg.size(); ++i)
-        cg[i] += grads[off + i];
+    GradArena grads;
+    backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, grads);
+    mergeGradients({&grads, 1});
 }
 
 void
@@ -513,12 +497,12 @@ TensorfModel::zeroGrads()
 }
 
 void
-TensorfModel::optimizerStep(float lr_factors, float lr_net)
+TensorfModel::optimizerStep(float lr_factors, float lr_net, ThreadPool *pool)
 {
     adam_factors_.setLearningRate(lr_factors);
     adam_net_.setLearningRate(lr_net);
-    adam_factors_.step(params_, grads_);
-    adam_net_.step(color_net_->params(), color_net_->grads());
+    adam_factors_.step(params_, grads_, pool);
+    adam_net_.step(color_net_->params(), color_net_->grads(), pool);
 }
 
 void

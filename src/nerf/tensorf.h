@@ -92,7 +92,15 @@ class TensorfModel
   public:
     using Config = TensorfModelConfig;
     using BatchWorkspace = TensorfBatchWorkspace;
+    /** One shard's flat gradients: factor/basis block, then color-net
+     *  block. */
+    using GradArena = std::vector<float>;
     static constexpr BackendKind kBackendKind = BackendKind::tensorf;
+    /** PointPipelineConfig defaults: factor and color-net learning rates
+     *  and the model seed. */
+    static constexpr float kLrFactors = 2e-2f;
+    static constexpr float kLrNet = 2e-3f;
+    static constexpr std::uint64_t kPipelineSeed = 31;
 
     explicit TensorfModel(const TensorfModelConfig &cfg, std::uint64_t seed = 31);
 
@@ -109,7 +117,7 @@ class TensorfModel
                        const Vec3f &drgb);
 
     void zeroGrads();
-    void optimizerStep(float lr_factors, float lr_net);
+    void optimizerStep(float lr_factors, float lr_net, ThreadPool *pool = nullptr);
 
     /** Fake-quantize all parameters through INT8 (Table II machinery). */
     void quantizeWeights();
@@ -135,33 +143,24 @@ class TensorfModel
                            std::span<float> sigmas) const;
 
     /**
-     * Batched backward into the internal gradient accumulators.
-     * Recomputes the forward internally; factor scatters run
-     * sample-ascending in the scalar per-sample order.
-     */
-    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                            std::span<const float> dsigmas,
-                            std::span<const Vec3f> drgbs, BatchWorkspace &ws);
-
-    /** Length of the flat gradient vector backwardPointBatchInto fills:
-     *  factor/basis grads first, then color-net grads. */
-    std::size_t gradCount() const { return paramCount(); }
-
-    /**
-     * Shard entry point of parallel training: like backwardPointBatch
-     * but const, accumulating into a caller-provided flat buffer
-     * (gradCount() floats, factor block then color-net block). Shards
-     * own private buffers; accumulateGradients() merges them in fixed
-     * shard order.
+     * One shard's backward: recomputes the forward internally and
+     * overwrites @p grads with the shard's gradients; factor scatters
+     * run sample-ascending in the scalar per-sample order. Const, so
+     * shards with private workspaces and arenas run concurrently.
      */
     void backwardPointBatchInto(std::span<const Vec3f> pos,
                                 std::span<const Vec3f> dirs,
                                 std::span<const float> dsigmas,
                                 std::span<const Vec3f> drgbs, BatchWorkspace &ws,
-                                std::span<float> grads) const;
+                                GradArena &grads) const;
 
-    /** Add one shard's flat gradient buffer into the internal grads. */
-    void accumulateGradients(std::span<const float> grads);
+    /** Add every shard's arena into the internal grads, shard-ascending. */
+    void mergeGradients(std::span<GradArena> arenas);
+
+    /** Serial batched backward: one arena, then mergeGradients. */
+    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
+                            std::span<const float> dsigmas,
+                            std::span<const Vec3f> drgbs, BatchWorkspace &ws);
 
     /** All factor/basis parameters (for quantization experiments). */
     std::span<float> factorParams() { return params_; }
@@ -176,7 +175,7 @@ class TensorfModel
     void lineBackward(std::size_t block_offset, int r, float u, float g);
 
     /**
-     * Shared tail of the batched backward variants: walk the recomputed
+     * Tail of the batched backward: walk the recomputed
      * caches in @p ws sample-ascending and scatter basis / line /
      * density gradients into @p factor_grads (params_ layout), exactly
      * in the scalar backwardPoint() per-sample order.
@@ -211,7 +210,7 @@ class TensorfModel
 
 /** End-to-end TensoRF pipeline: the generic point pipeline over the
  *  CP-factorized model. */
-using TensorfPipelineConfig = PointPipelineConfig<TensorfModelConfig>;
+using TensorfPipelineConfig = PointPipelineConfig<TensorfModel>;
 using TensorfPipeline = PointPipeline<TensorfModel>;
 
 /** Serveable-field wrapper over the CP-factorized model. */

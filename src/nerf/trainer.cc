@@ -138,7 +138,7 @@ Trainer::renderView(const Camera &camera)
 {
     F3D_TRACE_SPAN("train", "render_view");
     Image out(camera.width(), camera.height());
-    // With a pool configured, fields with a tiled path (NerfPipeline)
+    // With a pool configured, fields with a tiled path (PointPipeline)
     // render as parallel row-tiles — bit-identical at any thread count.
     if (cfg_.pool && field_.renderViewTiled(camera, *cfg_.pool, out))
         return out;

@@ -55,11 +55,11 @@ struct TrainerConfig
     std::uint64_t seed = 1234;
     /**
      * Thread pool for sharded forward/backward, the optimizer step, the
-     * occupancy refresh, and tiled eval renders (null = serial, the
-     * legacy path). Must outlive the trainer. With a pool attached, a
-     * given seed reproduces bit-identical weights at ANY pool size —
-     * the shard partition and gradient reduction order depend only on
-     * the batch, never on thread count or scheduling.
+     * occupancy refresh, and tiled eval renders (null runs the same
+     * shards inline). Must outlive the trainer. A given seed reproduces
+     * bit-identical weights at ANY pool size, or with none — the shard
+     * partition and gradient reduction order depend only on the batch,
+     * never on thread count or scheduling.
      */
     ThreadPool *pool = nullptr;
 };

@@ -331,7 +331,7 @@ RenderServer::runLadder(QueuedRequest &qr, const ModelEntry *entry)
 
     // Every render below hands this request's rays to the batched SoA
     // evaluation core (tiles submit ray batches through
-    // NerfModel::forwardBatch); the span records the ray count so batch
+    // ServeableField::evalBatch); the span records the ray count so batch
     // occupancy is visible next to the ladder decisions.
     F3D_TRACE_SPAN_ARG("serve", "dispatch_rays", pixels);
 

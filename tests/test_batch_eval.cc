@@ -50,7 +50,7 @@ randomBatch(std::size_t n, std::uint64_t seed, std::vector<Vec3f> &pos,
 }
 
 /**
- * forwardBatch is bit-exact with forwardPoint: same encoding gather
+ * forwardPointBatch is bit-exact with forwardPoint: same encoding gather
  * order, same MLP accumulation order, same activations — only the
  * loop nest differs. n = 70 crosses the MLP's 64-sample block.
  */
@@ -66,7 +66,7 @@ TEST(BatchEval, ForwardBatchMatchesForwardPointBitExact)
 
     std::vector<float> sigmas(n);
     std::vector<Vec3f> rgbs(n);
-    model.forwardBatch(pos, dirs, bws, sigmas, rgbs);
+    model.forwardPointBatch(pos, dirs, bws, sigmas, rgbs);
 
     for (std::size_t j = 0; j < n; ++j) {
         const PointEval ref = model.forwardPoint(pos[j], dirs[j], pws);
@@ -76,7 +76,7 @@ TEST(BatchEval, ForwardBatchMatchesForwardPointBitExact)
 }
 
 /**
- * backwardBatch accumulates the same parameter gradients as per-point
+ * backwardPointBatch accumulates the same parameter gradients as per-point
  * backwardPoint; tolerance covers the cross-sample reassociation of
  * the batch reduction (within a sample the order is identical).
  */
@@ -105,7 +105,7 @@ TEST(BatchEval, BackwardBatchMatchesBackwardPoint)
 
     NerfBatchWorkspace bws = batched.makeBatchWorkspace();
     batched.zeroGrads();
-    batched.backwardBatch(pos, dirs, dsigmas, drgbs, bws);
+    batched.backwardPointBatch(pos, dirs, dsigmas, drgbs, bws);
 
     const auto check = [](std::span<float> got, std::span<float> want,
                           const char *what) {
@@ -120,7 +120,7 @@ TEST(BatchEval, BackwardBatchMatchesBackwardPoint)
 }
 
 /**
- * Central-difference gradient check of backwardBatch through the whole
+ * Central-difference gradient check of backwardPointBatch through the whole
  * model: L = sum_j dsigma_j * sigma_j + dot(drgb_j, rgb_j).
  */
 TEST(BatchEval, BackwardBatchMatchesFiniteDifference)
@@ -145,7 +145,7 @@ TEST(BatchEval, BackwardBatchMatchesFiniteDifference)
     std::vector<float> sigmas(n);
     std::vector<Vec3f> rgbs(n);
     const auto loss = [&]() {
-        model.forwardBatch(pos, dirs, bws, sigmas, rgbs);
+        model.forwardPointBatch(pos, dirs, bws, sigmas, rgbs);
         double acc = 0.0;
         for (std::size_t j = 0; j < n; ++j)
             acc += static_cast<double>(dsigmas[j]) * sigmas[j] +
@@ -154,7 +154,7 @@ TEST(BatchEval, BackwardBatchMatchesFiniteDifference)
     };
 
     model.zeroGrads();
-    model.backwardBatch(pos, dirs, dsigmas, drgbs, bws);
+    model.backwardPointBatch(pos, dirs, dsigmas, drgbs, bws);
 
     // Sample parameters from both MLPs (the encoding's FD coverage
     // lives in test_hash_encoding's BackwardMatchesFiniteDifference).
@@ -199,10 +199,10 @@ TEST(BatchEval, SamplesMetricCountsBatchedWork)
     };
 
     // First call registers the collector; read, run again, re-read.
-    model.forwardBatch(pos, dirs, bws, sigmas, rgbs);
+    model.forwardPointBatch(pos, dirs, bws, sigmas, rgbs);
     const double before = read("nerf.batch.samples");
     ASSERT_GE(before, static_cast<double>(n));
-    model.forwardBatch(pos, dirs, bws, sigmas, rgbs);
+    model.forwardPointBatch(pos, dirs, bws, sigmas, rgbs);
     EXPECT_EQ(read("nerf.batch.samples"), before + static_cast<double>(n));
 }
 

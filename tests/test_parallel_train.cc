@@ -2,16 +2,17 @@
  * @file
  * Tests of parallel training (DESIGN.md §8): sharded forward/backward
  * across the ThreadPool with deterministic gradient reduction. The
- * contract under test: with a pool attached, a given seed reproduces
- * bit-identical weights and PSNR at ANY pool size, because the shard
- * partition and the reduction order depend only on the batch — never on
- * thread count or scheduling. The chaos test runs checkpoint faults
+ * contract under test: a given seed reproduces bit-identical weights at
+ * ANY pool size, or with no pool, because the shard partition and the
+ * reduction order depend only on the batch — never on thread count or
+ * scheduling. The chaos test runs checkpoint faults
  * under parallel training and is part of the TSan CI job.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "common/fault.h"
@@ -99,23 +100,30 @@ trainWithPool(ThreadPool *pool, int evalEvery = 0)
 
 TEST(ParallelTrain, SameSeedIdenticalWeightsAcrossPoolSizes)
 {
-    // Reference at one worker, compared against 2 and 7 workers plus a
-    // zero-thread pool (parallelFor runs inline on the caller). All
-    // four must agree bitwise: the issue's acceptance criterion.
+    // Reference at one worker, compared against 2 and 7 workers, a
+    // zero-thread pool (parallelFor runs inline on the caller), and no
+    // pool at all (the shard loop runs inline). All must agree bitwise.
+    // Without a pool the Trainer evaluates through its jittered row
+    // loop instead of the tiled render, so PSNR is compared only
+    // between pools.
     ThreadPool pool1(1);
     const TrainOutcome ref = trainWithPool(&pool1);
     ASSERT_FALSE(ref.params.empty());
 
-    for (const int workers : {2, 7, 0}) {
-        ThreadPool pool(workers);
-        const TrainOutcome got = trainWithPool(&pool);
+    for (const int workers : {2, 7, 0, -1}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (workers >= 0)
+            pool = std::make_unique<ThreadPool>(workers);
+        const TrainOutcome got = trainWithPool(pool.get());
         ASSERT_EQ(got.params.size(), ref.params.size());
         std::size_t mismatches = 0;
         for (std::size_t i = 0; i < ref.params.size(); ++i)
             if (got.params[i] != ref.params[i])
                 ++mismatches;
         EXPECT_EQ(mismatches, 0u) << "at " << workers << " workers";
-        EXPECT_EQ(got.psnr, ref.psnr) << "at " << workers << " workers";
+        if (pool) {
+            EXPECT_EQ(got.psnr, ref.psnr) << "at " << workers << " workers";
+        }
     }
 }
 
@@ -217,11 +225,11 @@ TEST(ParallelTrain, AdamPoolStepBitExact)
         ASSERT_EQ(params_a[i], params_b[i]);
 }
 
-/** Pool-size determinism of the point-model backends: PointPipeline's
- *  shard partition and shard-ascending gradient merge depend only on
- *  the batch, so FreqNeRF and TensoRF training reproduces bit-identical
- *  weights at any pool size — the same contract the hash-grid pipeline
- *  guarantees above. */
+/** Pool-size determinism of the other backends: the shard partition
+ *  and shard-ascending gradient merge depend only on the batch, so
+ *  FreqNeRF and TensoRF training reproduces bit-identical weights at
+ *  any pool size, or with none — the contract the hash-grid pipeline
+ *  meets above. */
 template <class PipelineT, class CollectFn>
 void
 expectPointTrainingPoolInvariant(const typename PipelineT::Config &cfg,
@@ -244,9 +252,11 @@ expectPointTrainingPoolInvariant(const typename PipelineT::Config &cfg,
     ThreadPool pool1(1);
     const std::vector<float> ref = train(&pool1);
     ASSERT_FALSE(ref.empty());
-    for (const int workers : {3, 0}) {
-        ThreadPool pool(workers);
-        const std::vector<float> got = train(&pool);
+    for (const int workers : {3, 0, -1}) { // -1: no pool
+        std::unique_ptr<ThreadPool> pool;
+        if (workers >= 0)
+            pool = std::make_unique<ThreadPool>(workers);
+        const std::vector<float> got = train(pool.get());
         ASSERT_EQ(got.size(), ref.size());
         std::size_t mismatches = 0;
         for (std::size_t i = 0; i < ref.size(); ++i)
@@ -324,10 +334,12 @@ TEST(ParallelTrain, MoeDeterministicAcrossPoolSizes)
 
     ThreadPool pool2(2), pool7(7);
     const std::vector<float> a = train_moe(&pool2);
-    const std::vector<float> b = train_moe(&pool7);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        ASSERT_EQ(a[i], b[i]);
+    for (ThreadPool *pool : {&pool7, static_cast<ThreadPool *>(nullptr)}) {
+        const std::vector<float> b = train_moe(pool);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(a[i], b[i]) << (pool ? "pool of 7" : "no pool");
+    }
 }
 
 /** Chaos run: checkpoint faults firing under parallel training. */

@@ -63,15 +63,17 @@ TEST(Pipeline, BackwardRequiresRecordedRay)
 }
 
 /**
- * The batched entry point is bit-exact with per-ray tracing: sampling
- * draws jitter in the same ray order, and the SoA forward evaluates
- * every sample with scalar-identical arithmetic.
+ * The batched entry point is bit-exact with the scalar forwardPoint
+ * oracle behind traceRay: sampling draws jitter in the same ray order,
+ * and the SoA forward evaluates every sample with scalar-identical
+ * arithmetic. A recorded batch must also accept its gradient batch.
  */
-TEST(Pipeline, TraceRaysMatchesPerRayLoop)
+template <class PipelineT>
+void
+expectTraceRaysMatchesPerRayLoop(const typename PipelineT::Config &cfg)
 {
-    const PipelineConfig pc = tinyPipeline();
-    NerfPipeline batched(pc);
-    NerfPipeline scalar(pc); // same seed -> identical weights
+    PipelineT batched(cfg);
+    PipelineT scalar(cfg); // same seed -> identical weights
 
     std::vector<Ray> rays;
     for (int i = 0; i < 6; ++i)
@@ -81,9 +83,8 @@ TEST(Pipeline, TraceRaysMatchesPerRayLoop)
     Pcg32 rng_a(7), rng_b(7);
     std::vector<RayEval> evals(rays.size());
     RayWorkload wl_a;
-    batched.traceRays(rays, rng_a, false, evals, &wl_a);
+    batched.traceRays(rays, rng_a, /*record=*/true, evals, &wl_a);
 
-    RayWorkload wl_b;
     std::uint64_t candidates_b = 0;
     for (std::size_t r = 0; r < rays.size(); ++r) {
         RayWorkload wl;
@@ -96,12 +97,31 @@ TEST(Pipeline, TraceRaysMatchesPerRayLoop)
         EXPECT_EQ(evals[r].firstHitT, ref.firstHitT);
     }
     EXPECT_EQ(static_cast<std::uint64_t>(wl_a.totalCandidates), candidates_b);
+
+    const std::vector<Vec3f> dcolors(rays.size(), Vec3f{0.1f, 0.1f, 0.1f});
+    batched.backwardRays(dcolors);
+    batched.optimizerStep();
+}
+
+TEST(Pipeline, TraceRaysMatchesPerRayLoop)
+{
+    expectTraceRaysMatchesPerRayLoop<NerfPipeline>(tinyPipeline());
+
+    FreqPipelineConfig fc;
+    fc.model.posFrequencies = 4;
+    fc.model.hidden = 16;
+    fc.model.trunkLayers = 2;
+    fc.model.geoFeatures = 7;
+    fc.model.colorHidden = 16;
+    fc.model.shDegree = 2;
+    fc.occupancyResolution = 16;
+    expectTraceRaysMatchesPerRayLoop<FreqPipeline>(fc);
 }
 
 /**
  * One recorded traceRays + backwardRays accumulates the same model
- * gradients as tracing and backpropagating each ray individually (up
- * to reassociation of the cross-ray gradient sums).
+ * gradients as the scalar backwardPoint oracle behind backwardLastRay,
+ * ray by ray (up to reassociation of the cross-ray gradient sums).
  */
 TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
 {
@@ -144,45 +164,6 @@ TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
           "color");
     check(batched.model().encoding().grads(), scalar.model().encoding().grads(),
           "encoding");
-}
-
-/**
- * Pipelines built on the base-class fallback (here the frequency-
- * encoded NeRF) honor the same traceRays contract: identical results
- * to a per-ray loop, and a working recorded backward.
- */
-TEST(Pipeline, FallbackTraceRaysMatchesPerRayLoop)
-{
-    FreqPipelineConfig fc;
-    fc.model.posFrequencies = 4;
-    fc.model.hidden = 16;
-    fc.model.trunkLayers = 2;
-    fc.model.geoFeatures = 7;
-    fc.model.colorHidden = 16;
-    fc.model.shDegree = 2;
-    fc.occupancyResolution = 16;
-    FreqPipeline batched(fc);
-    FreqPipeline scalar(fc);
-
-    std::vector<Ray> rays;
-    for (int i = 0; i < 3; ++i)
-        rays.emplace_back(Vec3f{0.35f + 0.1f * static_cast<float>(i), 0.5f, -1.0f},
-                          Vec3f{0.0f, 0.0f, 1.0f});
-
-    Pcg32 rng_a(13), rng_b(13);
-    std::vector<RayEval> evals(rays.size());
-    batched.traceRays(rays, rng_a, /*record=*/true, evals);
-    for (std::size_t r = 0; r < rays.size(); ++r) {
-        const RayEval ref = scalar.traceRay(rays[r], rng_b, false);
-        EXPECT_EQ(evals[r].color, ref.color) << "ray " << r;
-        EXPECT_EQ(evals[r].samples, ref.samples);
-    }
-
-    // The fallback's recorded backward re-traces from RNG snapshots;
-    // it must accept a matching gradient batch without dying.
-    const std::vector<Vec3f> dcolors(rays.size(), Vec3f{0.1f, 0.1f, 0.1f});
-    batched.backwardRays(dcolors);
-    batched.optimizerStep();
 }
 
 TEST(Pipeline, TrainingImprovesPsnr)

@@ -74,9 +74,9 @@ TEST(ParallelRender, TiledIsBitIdenticalToSingleThread)
     rc.sampler.maxSamplesPerRay = 16;
     rc.rowsPerTile = 3;
 
-    const Image serial = nerf::renderImageTiled(model, &grid, cam, rc, nullptr);
+    const Image serial = nerf::renderImageTiled(nerf::HashGridServeField(model), &grid, cam, rc, nullptr);
     ThreadPool pool(3);
-    const Image parallel = nerf::renderImageTiled(model, &grid, cam, rc, &pool);
+    const Image parallel = nerf::renderImageTiled(nerf::HashGridServeField(model), &grid, cam, rc, &pool);
     expectImagesIdentical(serial, parallel);
 }
 
@@ -91,9 +91,9 @@ TEST(ParallelRender, JitteredTilesAreThreadCountInvariant)
     rc.seed = 5;
     rc.rowsPerTile = 1;
 
-    const Image serial = nerf::renderImageTiled(model, nullptr, cam, rc, nullptr);
+    const Image serial = nerf::renderImageTiled(nerf::HashGridServeField(model), nullptr, cam, rc, nullptr);
     ThreadPool pool(4);
-    const Image parallel = nerf::renderImageTiled(model, nullptr, cam, rc, &pool);
+    const Image parallel = nerf::renderImageTiled(nerf::HashGridServeField(model), nullptr, cam, rc, &pool);
     expectImagesIdentical(serial, parallel);
 }
 
@@ -119,7 +119,7 @@ TEST(ParallelRender, MatchesTrainerRenderView)
     rc.render = pc.render;
     ThreadPool pool(3);
     const Image tiled =
-        nerf::renderImageTiled(pipe.model(), &pipe.grid(), cam, rc, &pool);
+        nerf::renderImageTiled(nerf::HashGridServeField(pipe.model()), &pipe.grid(), cam, rc, &pool);
     expectImagesIdentical(reference, tiled);
 }
 

@@ -183,11 +183,11 @@ TEST(Simd, NerfModelForwardBatchBitExactAcrossDispatch)
         std::vector<Vec3f> rgb_hw(n), rgb_sc(n);
         {
             ScopedForceScalar pin(false);
-            model.forwardBatch(pos, dirs, ws_hw, sig_hw, rgb_hw);
+            model.forwardPointBatch(pos, dirs, ws_hw, sig_hw, rgb_hw);
         }
         {
             ScopedForceScalar pin(true);
-            model.forwardBatch(pos, dirs, ws_sc, sig_sc, rgb_sc);
+            model.forwardPointBatch(pos, dirs, ws_sc, sig_sc, rgb_sc);
         }
         for (std::size_t j = 0; j < n; ++j) {
             EXPECT_EQ(floatBits(sig_hw[j]), floatBits(sig_sc[j]))
@@ -224,8 +224,8 @@ TEST(Simd, QuantizedForwardMatchesDequantizedOracle)
         randomBatch(n, 45, pos, dirs);
         std::vector<float> sig_q(n), sig_o(n);
         std::vector<Vec3f> rgb_q(n), rgb_o(n);
-        quant.forwardBatch(pos, dirs, ws_q, sig_q, rgb_q);
-        oracle.forwardBatch(pos, dirs, ws_o, sig_o, rgb_o);
+        quant.forwardPointBatch(pos, dirs, ws_q, sig_q, rgb_q);
+        oracle.forwardPointBatch(pos, dirs, ws_o, sig_o, rgb_o);
         for (std::size_t j = 0; j < n; ++j) {
             EXPECT_EQ(floatBits(sig_q[j]), floatBits(sig_o[j]))
                 << "mode " << static_cast<int>(mode) << " sample " << j;
@@ -254,8 +254,8 @@ TEST(Simd, DropFp32WeightsKeepsQuantizedForward)
     randomBatch(n, 47, pos, dirs);
     std::vector<float> sig_k(n), sig_d(n);
     std::vector<Vec3f> rgb_k(n), rgb_d(n);
-    kept.forwardBatch(pos, dirs, ws_k, sig_k, rgb_k);
-    dropped.forwardBatch(pos, dirs, ws_d, sig_d, rgb_d);
+    kept.forwardPointBatch(pos, dirs, ws_k, sig_k, rgb_k);
+    dropped.forwardPointBatch(pos, dirs, ws_d, sig_d, rgb_d);
     for (std::size_t j = 0; j < n; ++j) {
         EXPECT_EQ(floatBits(sig_k[j]), floatBits(sig_d[j])) << "sample " << j;
         EXPECT_EQ(rgb_k[j], rgb_d[j]) << "sample " << j;
@@ -266,7 +266,7 @@ TEST(Simd, DropFp32WeightsKeepsQuantizedForward)
         ScopedForceScalar pin(true);
         std::vector<float> sig_s(n);
         std::vector<Vec3f> rgb_s(n);
-        kept.forwardBatch(pos, dirs, ws_k, sig_s, rgb_s);
+        kept.forwardPointBatch(pos, dirs, ws_k, sig_s, rgb_s);
         for (std::size_t j = 0; j < n; ++j) {
             EXPECT_EQ(floatBits(sig_s[j]), floatBits(sig_k[j]));
             EXPECT_EQ(rgb_s[j], rgb_k[j]);
@@ -381,8 +381,8 @@ TEST(Simd, QuantizedSerializeRoundTripBitExact)
         randomBatch(n, 49, pos, dirs);
         std::vector<float> sig_a(n), sig_b(n);
         std::vector<Vec3f> rgb_a(n), rgb_b(n);
-        model.forwardBatch(pos, dirs, ws_a, sig_a, rgb_a);
-        loaded->forwardBatch(pos, dirs, ws_b, sig_b, rgb_b);
+        model.forwardPointBatch(pos, dirs, ws_a, sig_a, rgb_a);
+        loaded->forwardPointBatch(pos, dirs, ws_b, sig_b, rgb_b);
         for (std::size_t j = 0; j < n; ++j) {
             EXPECT_EQ(floatBits(sig_a[j]), floatBits(sig_b[j]))
                 << "mode " << static_cast<int>(mode) << " sample " << j;
