@@ -51,12 +51,13 @@ main(int argc, char **argv)
         Pcg32 rng(14, 2);
         for (int y = 0; y < size; ++y) {
             for (int x = 0; x < size; ++x) {
-                (void)moe.traceRay(cam.rayForPixel(x, y), rng, false);
+                const Ray ray = cam.rayForPixel(x, y);
+                nerf::RayEval fused;
+                moe.traceRays({&ray, 1}, rng, false, {&fused, 1});
                 int best = -1;
                 float best_opacity = 0.02f;
                 for (int k = 0; k < experts; ++k) {
-                    const nerf::RayEval &p =
-                        moe.lastPartials()[static_cast<std::size_t>(k)];
+                    const nerf::RayEval &p = moe.partial(0, k);
                     const float opacity = 1.0f - p.transmittance;
                     if (opacity > best_opacity) {
                         best_opacity = opacity;

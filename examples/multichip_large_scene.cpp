@@ -65,11 +65,13 @@ main(int argc, char **argv)
     Pcg32 rng(5, 9);
     for (int y = 0; y < cam.height(); ++y) {
         for (int x = 0; x < cam.width(); ++x) {
-            (void)moe.traceRay(cam.rayForPixel(x, y), rng, false);
+            const Ray ray = cam.rayForPixel(x, y);
+            nerf::RayEval fused;
+            moe.traceRays({&ray, 1}, rng, false, {&fused, 1});
             int best = -1;
             float best_lum = 1e-4f;
             for (int k = 0; k < moe.numExperts(); ++k) {
-                const Vec3f c = moe.lastPartials()[static_cast<std::size_t>(k)].color;
+                const Vec3f c = moe.partial(0, k).color;
                 const float lum = c.x + c.y + c.z;
                 if (lum > best_lum) {
                     best_lum = lum;

@@ -305,17 +305,6 @@ FreqNerfModel::mergeGradients(std::span<GradArena> arenas)
 }
 
 void
-FreqNerfModel::backwardPointBatch(std::span<const Vec3f> pos,
-                                  std::span<const Vec3f> dirs,
-                                  std::span<const float> dsigmas,
-                                  std::span<const Vec3f> drgbs, BatchWorkspace &ws)
-{
-    GradArena grads;
-    backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, grads);
-    mergeGradients({&grads, 1});
-}
-
-void
 FreqNerfModel::zeroGrads()
 {
     trunk_->zeroGrads();

@@ -154,11 +154,6 @@ class FreqNerfModel
     /** Add every shard's arena into the internal grads, shard-ascending. */
     void mergeGradients(std::span<GradArena> arenas);
 
-    /** Serial batched backward: one arena, then mergeGradients. */
-    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                            std::span<const float> dsigmas,
-                            std::span<const Vec3f> drgbs, BatchWorkspace &ws);
-
     /** MLP MACs per point — the compute-cost gap vs hash-grid NeRF. */
     std::uint64_t macsPerPoint() const;
 

@@ -82,8 +82,6 @@ class MoeField : public RadianceField
             pc.seed = cfg.seed + static_cast<std::uint64_t>(k) * 101;
             experts_.push_back(std::make_unique<PipelineT>(pc));
         }
-        last_partials_.resize(static_cast<std::size_t>(cfg.numExperts));
-        fusion_weights_.assign(static_cast<std::size_t>(cfg.numExperts), 1.0f);
         expert_workloads_.resize(static_cast<std::size_t>(cfg.numExperts));
         applyRegionMasks();
     }
@@ -112,42 +110,37 @@ class MoeField : public RadianceField
     }
 
     /**
-     * Per-expert results of the last traceRay, in expert order. Used
-     * for the expert-specialization visualization (Fig. 8) and the
-     * chip-load accounting of the multi-chip simulator.
+     * Expert @p expert's partial result for ray @p ray of the last
+     * traceRays batch. Used for the expert-specialization visualization
+     * (Fig. 8) and the chip-load accounting of the multi-chip
+     * simulator. Valid until the next traceRays.
      */
-    const std::vector<RayEval> &lastPartials() const { return last_partials_; }
-
-    /**
-     * Per-expert fusion weights of the last traceRay: the transmittance
-     * of all experts whose content the ray crossed earlier. The fused
-     * pixel is sum_k weight_k * partial_k, computed from per-expert
-     * scalars only — the I/O module never sees per-sample data.
-     */
-    const std::vector<float> &lastFusionWeights() const { return fusion_weights_; }
-
-    /** Scalar entry point; a batch of one through traceRays, so MoE
-     *  rays also ride the experts' batched SoA cores. */
-    RayEval
-    traceRay(const Ray &ray, Pcg32 &rng, bool record,
-             RayWorkload *workload = nullptr) override
+    const RayEval &
+    partial(std::size_t ray, int expert) const
     {
-        RayEval ev;
-        traceRays({&ray, 1}, rng, record, {&ev, 1}, workload);
-        return ev;
+        return expert_evals_[static_cast<std::size_t>(expert)][ray];
     }
 
-    void
-    backwardLastRay(const Vec3f &dcolor) override
+    /**
+     * Expert @p expert's fusion weight for ray @p ray of the last
+     * traceRays batch: the transmittance of all experts whose content
+     * the ray crossed earlier. The fused pixel is sum_k weight_k *
+     * partial_k, computed from per-expert scalars only — the I/O module
+     * never sees per-sample data. Valid until the next traceRays,
+     * zeroGrads or optimizerStep.
+     */
+    float
+    fusionWeight(std::size_t ray, int expert) const
     {
-        backwardRays({&dcolor, 1});
+        return fusion_weights_batch_[ray * experts_.size() +
+                                     static_cast<std::size_t>(expert)];
     }
 
     /**
      * Batch-native override: every expert traces the whole ray batch
      * through its own batched pipeline (expert-major, so each expert's
      * flattened SampleBatch spans all rays), then partials fuse per ray
-     * at the I/O module exactly as the scalar path did.
+     * at the I/O module.
      */
     void
     traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
@@ -192,8 +185,7 @@ class MoeField : public RadianceField
             total.color = Vec3f(0.0f);
             float trans_product = 1.0f;
             for (int k = 0; k < numExperts(); ++k) {
-                const RayEval &ev = expert_evals_[static_cast<std::size_t>(k)][r];
-                last_partials_[static_cast<std::size_t>(k)] = ev;
+                const RayEval &ev = partial(r, k);
                 total.samples += ev.samples;
                 total.candidates += ev.candidates;
                 total.composited += ev.composited;
@@ -205,14 +197,12 @@ class MoeField : public RadianceField
             for (int k = 0; k < numExperts(); ++k)
                 fusion_order_[static_cast<std::size_t>(k)] = k;
             std::sort(fusion_order_.begin(), fusion_order_.end(),
-                      [this](int a, int b) {
-                          return last_partials_[static_cast<std::size_t>(a)].firstHitT <
-                                 last_partials_[static_cast<std::size_t>(b)].firstHitT;
+                      [this, r](int a, int b) {
+                          return partial(r, a).firstHitT < partial(r, b).firstHitT;
                       });
             float prefix = 1.0f;
             for (int idx : fusion_order_) {
-                const RayEval &p = last_partials_[static_cast<std::size_t>(idx)];
-                fusion_weights_[static_cast<std::size_t>(idx)] = prefix;
+                const RayEval &p = partial(r, idx);
                 fusion_weights_batch_[r * static_cast<std::size_t>(numExperts()) +
                                       static_cast<std::size_t>(idx)] = prefix;
                 total.color += p.color * prefix;
@@ -224,8 +214,6 @@ class MoeField : public RadianceField
             total.transmittance = trans_product;
             out[r] = total;
         }
-        // last_partials_/fusion_weights_ now reflect the batch's final
-        // ray, which for a batch of one is exactly the scalar contract.
     }
 
     /**
@@ -340,8 +328,6 @@ class MoeField : public RadianceField
     Config cfg_;
     std::vector<std::unique_ptr<PipelineT>> experts_;
     std::vector<Vec3f> seeds_;
-    std::vector<RayEval> last_partials_;
-    std::vector<float> fusion_weights_;
     std::vector<int> fusion_order_;
     std::vector<RayWorkload> expert_workloads_;
     /** Per-expert RayEvals of the current batch, [expert][ray]. */

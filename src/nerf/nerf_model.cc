@@ -291,16 +291,6 @@ NerfModel::mergeGradients(std::span<GradArena> arenas)
 }
 
 void
-NerfModel::backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                              std::span<const float> dsigmas,
-                              std::span<const Vec3f> drgbs, NerfBatchWorkspace &ws)
-{
-    GradArena arena;
-    backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, arena);
-    mergeGradients({&arena, 1});
-}
-
-void
 NerfModel::queryDensityBatch(std::span<const Vec3f> pos, NerfBatchWorkspace &ws,
                              std::span<float> sigmas) const
 {

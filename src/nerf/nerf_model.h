@@ -257,11 +257,6 @@ class NerfModel
      */
     void mergeGradients(std::span<GradArena> arenas);
 
-    /** Serial batched backward: one arena, then mergeGradients. */
-    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                            std::span<const float> dsigmas,
-                            std::span<const Vec3f> drgbs, NerfBatchWorkspace &ws);
-
     /** Zero all parameter gradients (encoding and both MLPs). */
     void zeroGrads();
 

@@ -1,19 +1,19 @@
 /**
  * @file
- * Const-correct, thread-parallel frame rendering. Unlike
- * Trainer::renderView — which routes through the mutable training tape
- * of a RadianceField — these entry points take a `const ServeableField&`
- * (any backend: hash-grid, FreqNeRF, TensoRF) plus an occupancy gate
- * and render whole frames by splitting them into row-tiles executed on
- * a ThreadPool. This is the render path the serving subsystem
- * (src/serve) uses; a bare model renders through a borrowing wrapper,
- * e.g. `renderImageTiled(HashGridServeField(model), ...)`.
+ * Const-correct, thread-parallel frame rendering. These entry points
+ * take a `const ServeableField&` (any backend: hash-grid, FreqNeRF,
+ * TensoRF) plus an occupancy gate and render whole frames by splitting
+ * them into row-tiles executed on a ThreadPool, or inline with none.
+ * This is the render path of the serving subsystem (src/serve) and of
+ * Trainer::renderView for every PointPipeline (with or without a
+ * pool); a bare model renders through a borrowing wrapper, e.g.
+ * `renderImageTiled(HashGridServeField(model), ...)`.
  *
  * Determinism: every image row re-seeds its own Pcg32 from
  * (cfg.seed, row), so the rendered frame is bit-identical regardless
  * of tiling, thread count, or execution order — and, with jitter
- * disabled, bit-identical to the single-threaded Trainer::renderView
- * of the same model/grid/camera (proved in tests/test_serve.cc).
+ * disabled, bit-identical to a RadianceField::traceRays row loop over
+ * the same model/grid/camera (proved in tests/test_serve.cc).
  */
 
 #ifndef FUSION3D_NERF_PARALLEL_RENDER_H_

@@ -2,7 +2,8 @@
  * @file
  * The end-to-end pipeline over a self-contained point model: Stage I
  * sampling through the occupancy gate, batched model evaluation through
- * one shard engine, Stage III compositing, and the training tape. Every
+ * one shard engine, Stage III compositing, and the training tape. Rays
+ * are only ever traced in batches (traceRays/backwardRays). Every
  * backend instantiates it: the hash-grid NerfModel (NerfPipeline, the
  * workload one Fusion-3D chip executes), TensoRF, and the frequency-
  * encoded (vanilla/MetaVRain-style) NeRF.
@@ -15,7 +16,8 @@
  *   static constexpr float kLrFactors, kLrNet;        // config defaults
  *   static constexpr std::uint64_t kPipelineSeed;     // config default
  *   ModelT(const Config &, std::uint64_t seed);
- *   // Scalar oracle (bit-exactness reference):
+ *   // Scalar oracle, kept for tests (tests/ray_oracle.h); the
+ *   // pipeline itself never calls these:
  *   PointEval forwardPoint(const Vec3f &pos, const Vec3f &dir);
  *   float queryDensity(const Vec3f &pos);
  *   void backwardPoint(const Vec3f &, const Vec3f &, float, const Vec3f &);
@@ -117,71 +119,6 @@ class PointPipeline : public RadianceField
     }
 
     /**
-     * Scalar reference path: per-point forwardPoint loop with its own
-     * scalar tape. Kept (rather than delegating to a batch of one) as
-     * the independent oracle the batch-vs-scalar bit-exactness tests
-     * compare traceRays against.
-     */
-    RayEval
-    traceRay(const Ray &ray, Pcg32 &rng, bool record,
-             RayWorkload *workload = nullptr) override
-    {
-        std::vector<RaySample> &samples = record ? tape_samples_ : scratch_samples_;
-        sampler_.sample(ray, &grid_, rng, samples, workload);
-
-        RayEval ev;
-        ev.samples = static_cast<int>(samples.size());
-        ev.candidates = workload ? workload->totalCandidates : ev.samples;
-
-        tape_sigmas_.resize(samples.size());
-        tape_rgbs_.resize(samples.size());
-        tape_dts_.resize(samples.size());
-        const Vec3f dir = normalize(ray.dir);
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-            const PointEval pe = model_->forwardPoint(samples[i].pos, dir);
-            tape_sigmas_[i] = pe.sigma;
-            tape_rgbs_[i] = pe.rgb;
-            tape_dts_[i] = samples[i].dt;
-        }
-
-        const CompositeResult cr =
-            composite(tape_sigmas_, tape_rgbs_, tape_dts_, cfg_.render);
-        ev.color = cr.color;
-        ev.transmittance = cr.transmittance;
-        ev.composited = cr.used;
-        if (!samples.empty())
-            ev.firstHitT = samples.front().t;
-
-        if (record) {
-            tape_dir_ = dir;
-            tape_result_ = cr;
-            tape_valid_ = true;
-        }
-        return ev;
-    }
-
-    void
-    backwardLastRay(const Vec3f &dcolor) override
-    {
-        if (!tape_valid_)
-            panic("PointPipeline::backwardLastRay without a recorded ray");
-
-        tape_dsigmas_.resize(tape_sigmas_.size());
-        tape_drgbs_.resize(tape_rgbs_.size());
-        compositeBackward(tape_sigmas_, tape_rgbs_, tape_dts_, cfg_.render,
-                          tape_result_, dcolor, tape_dsigmas_, tape_drgbs_,
-                          composite_scratch_);
-
-        for (int i = 0; i < tape_result_.used; ++i) {
-            model_->backwardPoint(tape_samples_[static_cast<std::size_t>(i)].pos,
-                                  tape_dir_,
-                                  tape_dsigmas_[static_cast<std::size_t>(i)],
-                                  tape_drgbs_[static_cast<std::size_t>(i)]);
-        }
-        tape_valid_ = false;
-    }
-
-    /**
      * Batch-native override: Stage I samples every ray into one CSR
      * SampleBatch, the model's batched forward evaluates the flattened
      * samples through the shard engine (bit-exact at any pool size
@@ -240,10 +177,10 @@ class PointPipeline : public RadianceField
     /**
      * Tiled inference render through the backend's ServeableField
      * wrapper (parallel_render row tiling, jitter off); bit-identical
-     * at any thread count. Always available here.
+     * at any thread count, or with no pool. Always available here.
      */
     bool
-    renderViewTiled(const Camera &camera, ThreadPool &pool, Image &out) override
+    renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out) override
     {
         TiledRenderConfig tcfg;
         tcfg.sampler = cfg_.sampler;
@@ -251,7 +188,7 @@ class PointPipeline : public RadianceField
         tcfg.render = cfg_.render;
         tcfg.seed = cfg_.seed;
         const PointServeField<ModelT> field(*model_);
-        out = renderImageTiled(field, &grid_, camera, tcfg, &pool);
+        out = renderImageTiled(field, &grid_, camera, tcfg, pool);
         return true;
     }
 
@@ -264,12 +201,7 @@ class PointPipeline : public RadianceField
         model_->optimizerStep(cfg_.lrFactors, cfg_.lrNet, pool_);
     }
 
-    void
-    invalidateTapes() override
-    {
-        eval_.invalidateTape();
-        tape_valid_ = false;
-    }
+    void invalidateTapes() override { eval_.invalidateTape(); }
 
   private:
     static std::size_t
@@ -383,19 +315,6 @@ class PointPipeline : public RadianceField
 
     /** Stage I/III machinery: batch build, compositing, tape. */
     RayBatchEvaluator eval_{"PointPipeline"};
-
-    // Scalar-oracle tape (traceRay/backwardLastRay).
-    std::vector<RaySample> tape_samples_;
-    std::vector<float> tape_sigmas_;
-    std::vector<Vec3f> tape_rgbs_;
-    std::vector<float> tape_dts_;
-    std::vector<float> tape_dsigmas_;
-    std::vector<Vec3f> tape_drgbs_;
-    Vec3f tape_dir_;
-    CompositeResult tape_result_;
-    bool tape_valid_ = false;
-    std::vector<RaySample> scratch_samples_;
-    CompositeBackwardScratch composite_scratch_;
 
     // Shard-engine scratch: per-shard workspaces and gradient arenas.
     // Grown once, allocation-free in steady state.

@@ -4,6 +4,8 @@
  * (PointPipeline<ModelT>, one chip) and the Mixture-of-Experts model
  * (multi-chip, Technique T3) implement this interface, so the Trainer
  * and the evaluation harness are agnostic to which one they drive.
+ * The interface is batch-only: traceRays/backwardRays are the one way
+ * to trace and differentiate rays.
  */
 
 #ifndef FUSION3D_NERF_RADIANCE_FIELD_H_
@@ -53,23 +55,11 @@ class RadianceField
     virtual ~RadianceField() = default;
 
     /**
-     * Render one ray.
-     * @param ray      Ray in normalized model coordinates.
-     * @param rng      Source of sampling jitter.
-     * @param record   Keep the evaluation tape so backwardLastRay() works.
-     * @param workload Optional Stage-I trace sink for the hardware model.
-     */
-    virtual RayEval traceRay(const Ray &ray, Pcg32 &rng, bool record,
-                             RayWorkload *workload = nullptr) = 0;
-
-    /** Backpropagate dL/d(color) of the most recently recorded ray. */
-    virtual void backwardLastRay(const Vec3f &dcolor) = 0;
-
-    /**
      * Render a batch of rays as one flattened SoA evaluation, consuming
-     * @p rng ray by ray in order (so jitter streams match the scalar
-     * path) — every consumer of this entry point rides the GEMM-shaped
-     * batch core.
+     * @p rng ray by ray in order, so a batch draws the same jitter as
+     * the same rays traced one at a time. This is the only way to trace
+     * a ray: training, evaluation and the chip models (a batch of one)
+     * all ride the GEMM-shaped batch core.
      *
      * @param rays     Rays in normalized model coordinates.
      * @param rng      Source of sampling jitter, consumed ray by ray.
@@ -134,12 +124,13 @@ class RadianceField
     ThreadPool *threadPool() const { return pool_; }
 
     /**
-     * Render @p camera's view as parallel row-tiles on @p pool,
-     * bit-identical regardless of tiling or thread count. Returns false
-     * if this field has no tiled path (the base class doesn't); the
-     * caller then falls back to its serial render loop.
+     * Render @p camera's jitter-free view as row-tiles on @p pool (null
+     * renders on the calling thread), bit-identical regardless of
+     * tiling or thread count. Returns false if this field has no tiled
+     * path (the base class doesn't); the caller then falls back to its
+     * serial render loop.
      */
-    virtual bool renderViewTiled(const Camera &camera, ThreadPool &pool, Image &out)
+    virtual bool renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out)
     {
         (void)camera;
         (void)pool;
@@ -155,9 +146,8 @@ class RadianceField
     virtual void optimizerStepImpl() = 0;
 
     /**
-     * Drop every recorded evaluation tape so a stale backwardRays() /
-     * backwardLastRay() panics instead of replaying against updated
-     * weights.
+     * Drop every recorded evaluation tape so a stale backwardRays()
+     * panics instead of replaying against updated weights.
      */
     virtual void invalidateTapes() = 0;
 

@@ -85,12 +85,6 @@ void compositeBackward(std::span<const float> sigmas, std::span<const Vec3f> rgb
                        std::span<float> dsigmas, std::span<Vec3f> drgbs,
                        CompositeBackwardScratch &scratch);
 
-/** Convenience overload that owns a transient scratch (cold paths only). */
-void compositeBackward(std::span<const float> sigmas, std::span<const Vec3f> rgbs,
-                       std::span<const float> dts, const RenderParams &params,
-                       const CompositeResult &fwd, const Vec3f &dcolor,
-                       std::span<float> dsigmas, std::span<Vec3f> drgbs);
-
 } // namespace fusion3d::nerf
 
 #endif // FUSION3D_NERF_RENDERER_H_

@@ -506,17 +506,6 @@ TensorfModel::mergeGradients(std::span<GradArena> arenas)
 }
 
 void
-TensorfModel::backwardPointBatch(std::span<const Vec3f> pos,
-                                 std::span<const Vec3f> dirs,
-                                 std::span<const float> dsigmas,
-                                 std::span<const Vec3f> drgbs, BatchWorkspace &ws)
-{
-    GradArena grads;
-    backwardPointBatchInto(pos, dirs, dsigmas, drgbs, ws, grads);
-    mergeGradients({&grads, 1});
-}
-
-void
 TensorfModel::zeroGrads()
 {
     std::fill(grads_.begin(), grads_.end(), 0.0f);

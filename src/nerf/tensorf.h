@@ -171,11 +171,6 @@ class TensorfModel
     /** Add every shard's arena into the internal grads, shard-ascending. */
     void mergeGradients(std::span<GradArena> arenas);
 
-    /** Serial batched backward: one arena, then mergeGradients. */
-    void backwardPointBatch(std::span<const Vec3f> pos, std::span<const Vec3f> dirs,
-                            std::span<const float> dsigmas,
-                            std::span<const Vec3f> drgbs, BatchWorkspace &ws);
-
     /** All factor/basis parameters (for quantization experiments). */
     std::span<float> factorParams() { return params_; }
     std::span<const float> factorParams() const { return params_; }

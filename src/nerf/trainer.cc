@@ -138,9 +138,9 @@ Trainer::renderView(const Camera &camera)
 {
     F3D_TRACE_SPAN("train", "render_view");
     Image out(camera.width(), camera.height());
-    // With a pool configured, fields with a tiled path (PointPipeline)
-    // render as parallel row-tiles — bit-identical at any thread count.
-    if (cfg_.pool && field_.renderViewTiled(camera, *cfg_.pool, out))
+    // Fields with a tiled path (PointPipeline) render as row-tiles —
+    // bit-identical at any thread count, or with no pool.
+    if (field_.renderViewTiled(camera, cfg_.pool, out))
         return out;
     const std::size_t width = static_cast<std::size_t>(camera.width());
     for (int y = 0; y < camera.height(); ++y) {

@@ -56,10 +56,10 @@ struct TrainerConfig
     /**
      * Thread pool for sharded forward/backward, the optimizer step, the
      * occupancy refresh, and tiled eval renders (null runs the same
-     * shards inline). Must outlive the trainer. A given seed reproduces
-     * bit-identical weights at ANY pool size, or with none — the shard
-     * partition and gradient reduction order depend only on the batch,
-     * never on thread count or scheduling.
+     * shards and tiles inline). Must outlive the trainer. A given seed
+     * reproduces bit-identical weights and eval PSNR at ANY pool size,
+     * or with none — the shard partition and gradient reduction order
+     * depend only on the batch, never on thread count or scheduling.
      */
     ThreadPool *pool = nullptr;
 };
@@ -104,7 +104,11 @@ class Trainer
     /** Mean PSNR over up to @p max_views test views. */
     double evalPsnr(int max_views = 1);
 
-    /** Render an arbitrary camera with the current model. */
+    /**
+     * Render an arbitrary camera with the current model: jitter-free
+     * row tiles for fields with a tiled path (every PointPipeline), a
+     * jittered traceRays row loop otherwise (MoeField).
+     */
     Image renderView(const Camera &camera);
 
     /**

@@ -45,8 +45,6 @@ namespace fusion3d::serve
 /** Tunables of the reprojection renderer. */
 struct ReprojectConfig
 {
-    /** Master switch; off = every request full-renders as before. */
-    bool enabled = true;
     /** Square invalidation-tile edge in pixels. */
     int tileSize = 16;
     /** A tile is valid only when its warp coverage is >= this; the

@@ -367,10 +367,11 @@ RenderServer::runLadder(QueuedRequest &qr, const ModelEntry *entry)
         return response;
     }
 
-    if (const auto prev = cachedFrame(entry->name)) {
+    if (const auto prev = cachedFrame(entry)) {
         // Degrade step 2: reproject the model's last rendered frame
         // (frame reuse a la MetaVRain); uncovered pixels keep the
-        // background colour rather than costing a re-render.
+        // background colour rather than costing a re-render. A frame
+        // of a replaced model version is never warped.
         F3D_TRACE_SPAN_ARG("serve", "render_warp", qr.id);
         nerf::WarpResult warped = nerf::forwardWarp(*prev, camera);
         for (int y = 0; y < camera.height(); ++y) {
@@ -453,7 +454,7 @@ bool
 RenderServer::tryReproject(QueuedRequest &qr, const ModelEntry *entry,
                            RenderResponse &response)
 {
-    if (!cfg_.reproject.enabled || qr.request.session.empty())
+    if (qr.request.session.empty())
         return false;
     auto prev = sessions_.get(qr.request.session, entry->name, entry->epoch);
     stats_.recordSessionLookup(prev.has_value());
@@ -485,7 +486,7 @@ RenderServer::tryReproject(QueuedRequest &qr, const ModelEntry *entry,
     if (!out.stats.reprojected) {
         // The fallback was a true full render: refresh the model-level
         // warp-degrade source too.
-        cacheFrame(entry->name, std::move(shared));
+        cacheFrame(entry, std::move(shared));
     }
     return true;
 }
@@ -495,7 +496,7 @@ RenderServer::rememberFullFrame(const QueuedRequest &qr, const ModelEntry *entry
                                 nerf::DepthFrame &&frame)
 {
     auto shared = std::make_shared<const nerf::DepthFrame>(std::move(frame));
-    if (cfg_.reproject.enabled && !qr.request.session.empty()) {
+    if (!qr.request.session.empty()) {
         // Seed the session cache: the next request on this stream can
         // reproject instead of full-rendering.
         SessionFrame sf;
@@ -507,23 +508,25 @@ RenderServer::rememberFullFrame(const QueuedRequest &qr, const ModelEntry *entry
                                    cfg_.reproject.maxTileAge);
         sessions_.put(qr.request.session, std::move(sf));
     }
-    cacheFrame(entry->name, std::move(shared));
+    cacheFrame(entry, std::move(shared));
 }
 
 void
-RenderServer::cacheFrame(const std::string &model,
+RenderServer::cacheFrame(const ModelEntry *entry,
                          std::shared_ptr<const nerf::DepthFrame> frame)
 {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    last_frames_[model] = std::move(frame);
+    last_frames_[entry->name] = CachedFrame{std::move(frame), entry->epoch};
 }
 
 std::shared_ptr<const nerf::DepthFrame>
-RenderServer::cachedFrame(const std::string &model) const
+RenderServer::cachedFrame(const ModelEntry *entry) const
 {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = last_frames_.find(model);
-    return it == last_frames_.end() ? nullptr : it->second;
+    const auto it = last_frames_.find(entry->name);
+    if (it == last_frames_.end() || it->second.epoch != entry->epoch)
+        return nullptr;
+    return it->second.frame;
 }
 
 void

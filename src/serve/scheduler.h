@@ -23,8 +23,9 @@
  *     online cost estimate (EWMA of measured per-pixel seconds) and
  *     walks the degrade ladder:
  *       full render → half-resolution render (upsampled) → reprojection
- *     of the model's last frame via image_warp → shed
- *     (Outcome::rejectedDeadline). Expired deadlines shed outright.
+ *     of the model's last frame via image_warp (only a frame of the
+ *     same deploy epoch) → shed (Outcome::rejectedDeadline). Expired
+ *     deadlines shed outright.
  *
  * Every outcome is counted in ServerStats; drain() blocks until all
  * admitted requests completed, so the stats block is consistent when
@@ -120,9 +121,13 @@ class RenderServer
     RenderResponse runLadder(QueuedRequest &qr, const ModelEntry *entry);
     void finish(QueuedRequest &qr, RenderResponse &&response);
     void noteRenderCost(double seconds, std::uint64_t pixels);
-    void cacheFrame(const std::string &model,
+    /** Make @p frame, rendered by @p entry, its model's warp source. */
+    void cacheFrame(const ModelEntry *entry,
                     std::shared_ptr<const nerf::DepthFrame> frame);
-    std::shared_ptr<const nerf::DepthFrame> cachedFrame(const std::string &model) const;
+    /** The warp source of @p entry's model, or null when there is none
+     *  or it was rendered at another deploy epoch (a hot-swap or an
+     *  eviction since). */
+    std::shared_ptr<const nerf::DepthFrame> cachedFrame(const ModelEntry *entry) const;
     /** Try the accelerate rung; true when @p response was produced. */
     bool tryReproject(QueuedRequest &qr, const ModelEntry *entry,
                       RenderResponse &response);
@@ -156,9 +161,15 @@ class RenderServer
     mutable std::mutex estimate_mutex_;
     double est_seconds_per_pixel_ = 0.0;
 
-    // Last full-resolution frame per model, the warp-degrade source.
+    // Last full-resolution frame per model, the warp-degrade source,
+    // with the deploy epoch of the model version that rendered it.
+    struct CachedFrame
+    {
+        std::shared_ptr<const nerf::DepthFrame> frame;
+        std::uint64_t epoch = 0;
+    };
     mutable std::mutex cache_mutex_;
-    std::map<std::string, std::shared_ptr<const nerf::DepthFrame>> last_frames_;
+    std::map<std::string, CachedFrame> last_frames_;
 
     std::thread dispatcher_;
 };

@@ -1,7 +1,7 @@
 /** @file Equivalence tests of the batched SoA evaluation core against
  *  the scalar reference oracle (forwardPoint/backwardPoint) for all
  *  three backends (hash-grid, FreqNeRF, TensoRF), plus the
- *  nerf.batch.* metrics and the compositeBackward scratch overload. */
+ *  nerf.batch.* metrics and compositeBackward's scratch reuse. */
 
 #include <cmath>
 #include <vector>
@@ -14,6 +14,7 @@
 #include "nerf/renderer.h"
 #include "nerf/tensorf.h"
 #include "obs/metrics.h"
+#include "ray_oracle.h"
 
 namespace fusion3d::nerf
 {
@@ -76,7 +77,8 @@ TEST(BatchEval, ForwardBatchMatchesForwardPointBitExact)
 }
 
 /**
- * backwardPointBatch accumulates the same parameter gradients as per-point
+ * The batched backward (backwardPointBatchInto + mergeGradients through
+ * one arena) accumulates the same parameter gradients as per-point
  * backwardPoint; tolerance covers the cross-sample reassociation of
  * the batch reduction (within a sample the order is identical).
  */
@@ -105,7 +107,7 @@ TEST(BatchEval, BackwardBatchMatchesBackwardPoint)
 
     NerfBatchWorkspace bws = batched.makeBatchWorkspace();
     batched.zeroGrads();
-    batched.backwardPointBatch(pos, dirs, dsigmas, drgbs, bws);
+    oracle::backwardPointBatch(batched, pos, dirs, dsigmas, drgbs, bws);
 
     const auto check = [](std::span<float> got, std::span<float> want,
                           const char *what) {
@@ -120,8 +122,8 @@ TEST(BatchEval, BackwardBatchMatchesBackwardPoint)
 }
 
 /**
- * Central-difference gradient check of backwardPointBatch through the whole
- * model: L = sum_j dsigma_j * sigma_j + dot(drgb_j, rgb_j).
+ * Central-difference gradient check of the batched backward through the
+ * whole model: L = sum_j dsigma_j * sigma_j + dot(drgb_j, rgb_j).
  */
 TEST(BatchEval, BackwardBatchMatchesFiniteDifference)
 {
@@ -154,7 +156,7 @@ TEST(BatchEval, BackwardBatchMatchesFiniteDifference)
     };
 
     model.zeroGrads();
-    model.backwardPointBatch(pos, dirs, dsigmas, drgbs, bws);
+    oracle::backwardPointBatch(model, pos, dirs, dsigmas, drgbs, bws);
 
     // Sample parameters from both MLPs (the encoding's FD coverage
     // lives in test_hash_encoding's BackwardMatchesFiniteDifference).
@@ -208,7 +210,7 @@ TEST(BatchEval, SamplesMetricCountsBatchedWork)
 
 // ---------------------------------------------------------------------------
 // Point-model backends (FreqNeRF, TensoRF): the same batched-vs-scalar
-// contract through the forwardPointBatch/backwardPointBatch kernels.
+// contract through the forwardPointBatch/backwardPointBatchInto kernels.
 // ---------------------------------------------------------------------------
 
 FreqNerfConfig
@@ -296,7 +298,7 @@ expectGradsClose(std::span<const float> got, std::span<const float> want,
             << what << " grad " << i;
 }
 
-/** backwardPointBatch accumulates the same gradients as the per-point
+/** The batched backward accumulates the same gradients as the per-point
  *  backwardPoint loop (tolerance covers cross-sample reassociation of
  *  the basis/net reductions; within a sample the order is identical). */
 TEST(BatchEval, FreqBackwardBatchMatchesBackwardPoint)
@@ -317,7 +319,7 @@ TEST(BatchEval, FreqBackwardBatchMatchesBackwardPoint)
 
     typename FreqNerfModel::BatchWorkspace ws = batched.makeBatchWorkspace();
     batched.zeroGrads();
-    batched.backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);
+    oracle::backwardPointBatch(batched, pos, dirs, dsigmas, drgbs, ws);
 
     expectGradsClose(batched.trunk().grads(), scalar.trunk().grads(), "trunk");
     expectGradsClose(batched.colorNet().grads(), scalar.colorNet().grads(),
@@ -342,7 +344,7 @@ TEST(BatchEval, TensorfBackwardBatchMatchesBackwardPoint)
 
     typename TensorfModel::BatchWorkspace ws = batched.makeBatchWorkspace();
     batched.zeroGrads();
-    batched.backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);
+    oracle::backwardPointBatch(batched, pos, dirs, dsigmas, drgbs, ws);
 
     expectGradsClose(batched.factorGrads(), scalar.factorGrads(), "factor");
     expectGradsClose(batched.colorNet().grads(), scalar.colorNet().grads(),
@@ -382,7 +384,7 @@ TEST(BatchEval, FreqBackwardBatchMatchesFiniteDifference)
     randomAdjoints(n, 243, dsigmas, drgbs, /*sigma_scale=*/0.1f);
 
     model.zeroGrads();
-    model.backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);
+    oracle::backwardPointBatch(model, pos, dirs, dsigmas, drgbs, ws);
 
     const auto fd_check = [&](Mlp &net, const char *what) {
         int checked = 0;
@@ -419,7 +421,7 @@ TEST(BatchEval, TensorfBackwardBatchMatchesFiniteDifference)
     randomAdjoints(n, 253, dsigmas, drgbs, /*sigma_scale=*/0.1f);
 
     model.zeroGrads();
-    model.backwardPointBatch(pos, dirs, dsigmas, drgbs, ws);
+    oracle::backwardPointBatch(model, pos, dirs, dsigmas, drgbs, ws);
 
     int checked = 0;
     for (std::size_t i = 0; i < model.factorParams().size(); i += 11) {
@@ -440,10 +442,10 @@ TEST(BatchEval, TensorfBackwardBatchMatchesFiniteDifference)
     EXPECT_GT(checked, 5);
 }
 
-/** The scratch overload of compositeBackward matches the legacy
- *  allocating overload exactly, including scratch reuse across rays
- *  of different lengths. */
-TEST(BatchEval, CompositeBackwardScratchMatchesLegacy)
+/** compositeBackward with one scratch reused across rays of different
+ *  lengths matches a fresh scratch per ray exactly: a grown scratch
+ *  never leaks a longer ray's prefix into a shorter one. */
+TEST(BatchEval, CompositeBackwardScratchReuseMatchesFresh)
 {
     Pcg32 rng(141);
     RenderParams params;
@@ -462,7 +464,8 @@ TEST(BatchEval, CompositeBackwardScratchMatchesLegacy)
 
         std::vector<float> ds_a(n), ds_b(n);
         std::vector<Vec3f> dr_a(n), dr_b(n);
-        compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, ds_a, dr_a);
+        CompositeBackwardScratch fresh;
+        compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, ds_a, dr_a, fresh);
         compositeBackward(sigmas, rgbs, dts, params, fwd, dcolor, ds_b, dr_b,
                           scratch);
         for (std::size_t i = 0; i < n; ++i) {

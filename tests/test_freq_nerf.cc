@@ -6,6 +6,7 @@
 
 #include "nerf/freq_nerf.h"
 #include "nerf/trainer.h"
+#include "ray_oracle.h"
 #include "scenes/dataset_gen.h"
 #include "scenes/factory.h"
 
@@ -166,8 +167,8 @@ cameraRays(int size = 12)
 }
 
 /** The batch-native traceRays override is bit-exact with the scalar
- *  per-ray oracle (traceRay): the CSR batch draws jitter in the same
- *  ray order and every sample's arithmetic is batch-invariant. */
+ *  per-ray oracle (tests/ray_oracle.h): the CSR batch draws jitter in
+ *  the same ray order and every sample's arithmetic is batch-invariant. */
 TEST(FreqPipeline, TraceRaysMatchesScalarOracleBitExact)
 {
     FreqPipeline batched(tinyPipelineConfig());
@@ -179,7 +180,7 @@ TEST(FreqPipeline, TraceRaysMatchesScalarOracleBitExact)
     batched.traceRays(rays, rng_a, /*record=*/false, evals);
 
     for (std::size_t r = 0; r < rays.size(); ++r) {
-        const RayEval ref = scalar.traceRay(rays[r], rng_b, /*record=*/false);
+        const RayEval ref = oracle::oracleTraceRay(scalar, rays[r], rng_b);
         EXPECT_EQ(evals[r].color, ref.color) << "ray " << r;
         EXPECT_EQ(evals[r].transmittance, ref.transmittance) << "ray " << r;
         EXPECT_EQ(evals[r].samples, ref.samples) << "ray " << r;

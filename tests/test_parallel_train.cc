@@ -102,10 +102,8 @@ TEST(ParallelTrain, SameSeedIdenticalWeightsAcrossPoolSizes)
 {
     // Reference at one worker, compared against 2 and 7 workers, a
     // zero-thread pool (parallelFor runs inline on the caller), and no
-    // pool at all (the shard loop runs inline). All must agree bitwise.
-    // Without a pool the Trainer evaluates through its jittered row
-    // loop instead of the tiled render, so PSNR is compared only
-    // between pools.
+    // pool at all (the shard loop and the eval tiles run inline). All
+    // must agree bitwise, weights and eval PSNR alike.
     ThreadPool pool1(1);
     const TrainOutcome ref = trainWithPool(&pool1);
     ASSERT_FALSE(ref.params.empty());
@@ -121,19 +119,16 @@ TEST(ParallelTrain, SameSeedIdenticalWeightsAcrossPoolSizes)
             if (got.params[i] != ref.params[i])
                 ++mismatches;
         EXPECT_EQ(mismatches, 0u) << "at " << workers << " workers";
-        if (pool) {
-            EXPECT_EQ(got.psnr, ref.psnr) << "at " << workers << " workers";
-        }
+        EXPECT_EQ(got.psnr, ref.psnr) << "at " << workers << " workers";
     }
 }
 
 TEST(ParallelTrain, InterleavedEvalDoesNotPerturbWeights)
 {
-    // Mid-training evals render through different paths (legacy row
-    // loop vs tiled) depending on whether a pool is configured, and
-    // neither may draw from the training RNG stream: interleaving
-    // evals must leave the trained weights bitwise unchanged on both
-    // paths.
+    // Mid-training evals render tiles inline (no pool) or on the pool,
+    // and neither may draw from the training RNG stream: interleaving
+    // evals must leave the trained weights bitwise unchanged either
+    // way.
     const TrainOutcome plain = trainWithPool(nullptr);
     const TrainOutcome serial_eval = trainWithPool(nullptr, /*evalEvery=*/4);
     ASSERT_EQ(serial_eval.params.size(), plain.params.size());

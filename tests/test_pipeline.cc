@@ -1,12 +1,20 @@
 /** @file Integration tests: the full pipeline trains on a toy scene,
  *  MoE partitions space, and the trainer's quantization hook bites. */
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "nerf/freq_nerf.h"
 #include "nerf/moe.h"
 #include "nerf/pipeline.h"
+#include "nerf/tensorf.h"
 #include "nerf/trainer.h"
+#include "ray_oracle.h"
 #include "scenes/dataset_gen.h"
 #include "scenes/factory.h"
 
@@ -43,30 +51,70 @@ tinyDataset(const std::string &scene_name = "mic", int size = 24)
     return scenes::makeDataset(*scene, dc);
 }
 
-TEST(Pipeline, TraceRayDeterministicWithoutJitter)
+FreqPipelineConfig
+tinyFreqPipeline()
+{
+    FreqPipelineConfig fc;
+    fc.model.posFrequencies = 4;
+    fc.model.hidden = 16;
+    fc.model.trunkLayers = 2;
+    fc.model.geoFeatures = 7;
+    fc.model.colorHidden = 16;
+    fc.model.shDegree = 2;
+    fc.occupancyResolution = 16;
+    return fc;
+}
+
+TensorfPipelineConfig
+tinyTensorfPipeline()
+{
+    TensorfPipelineConfig tc;
+    tc.model.densityRank = 6;
+    tc.model.appearanceRank = 8;
+    tc.model.lineResolution = 48;
+    tc.model.appearanceDim = 8;
+    tc.model.colorHidden = 16;
+    tc.sampler.maxSamplesPerRay = 24;
+    tc.occupancyResolution = 16;
+    return tc;
+}
+
+TEST(Pipeline, TraceRaysDeterministicWithoutJitter)
 {
     PipelineConfig pc = tinyPipeline();
     pc.sampler.jitter = false;
     NerfPipeline pipe(pc);
     Pcg32 rng(1);
     const Ray ray({0.5f, 0.5f, -1.0f}, {0.0f, 0.0f, 1.0f});
-    const RayEval a = pipe.traceRay(ray, rng, false);
-    const RayEval b = pipe.traceRay(ray, rng, false);
+    RayEval a, b;
+    pipe.traceRays({&ray, 1}, rng, false, {&a, 1});
+    pipe.traceRays({&ray, 1}, rng, false, {&b, 1});
     EXPECT_EQ(a.color, b.color);
     EXPECT_EQ(a.samples, b.samples);
 }
 
-TEST(Pipeline, BackwardRequiresRecordedRay)
+/** backwardRays dies without a recorded traceRays batch: on a fresh
+ *  pipeline, and once a recorded batch's tape has been consumed. */
+TEST(Pipeline, BackwardRaysRequiresRecordedBatch)
 {
     NerfPipeline pipe(tinyPipeline());
-    EXPECT_DEATH(pipe.backwardLastRay({1.0f, 0.0f, 0.0f}), "without a recorded");
+    const Ray ray({0.5f, 0.5f, -1.0f}, {0.0f, 0.0f, 1.0f});
+    const Vec3f dcolor{1.0f, 0.0f, 0.0f};
+    EXPECT_DEATH(pipe.backwardRays({&dcolor, 1}), "without a recorded");
+
+    Pcg32 rng(2);
+    RayEval ev;
+    pipe.traceRays({&ray, 1}, rng, /*record=*/true, {&ev, 1});
+    pipe.backwardRays({&dcolor, 1});
+    EXPECT_DEATH(pipe.backwardRays({&dcolor, 1}), "without a recorded");
 }
 
 /**
- * The batched entry point is bit-exact with the scalar forwardPoint
- * oracle behind traceRay: sampling draws jitter in the same ray order,
- * and the SoA forward evaluates every sample with scalar-identical
- * arithmetic. A recorded batch must also accept its gradient batch.
+ * The batched entry point is bit-exact with the scalar oracle
+ * (tests/ray_oracle.h: forwardPoint per sample): sampling draws jitter
+ * in the same ray order, and the SoA forward evaluates every sample
+ * with scalar-identical arithmetic. A recorded batch must also accept
+ * its gradient batch.
  */
 template <class PipelineT>
 void
@@ -88,7 +136,7 @@ expectTraceRaysMatchesPerRayLoop(const typename PipelineT::Config &cfg)
     std::uint64_t candidates_b = 0;
     for (std::size_t r = 0; r < rays.size(); ++r) {
         RayWorkload wl;
-        const RayEval ref = scalar.traceRay(rays[r], rng_b, false, &wl);
+        const RayEval ref = oracle::oracleTraceRay(scalar, rays[r], rng_b, &wl);
         candidates_b += static_cast<std::uint64_t>(wl.totalCandidates);
         EXPECT_EQ(evals[r].color, ref.color) << "ray " << r;
         EXPECT_EQ(evals[r].samples, ref.samples);
@@ -97,6 +145,8 @@ expectTraceRaysMatchesPerRayLoop(const typename PipelineT::Config &cfg)
         EXPECT_EQ(evals[r].firstHitT, ref.firstHitT);
     }
     EXPECT_EQ(static_cast<std::uint64_t>(wl_a.totalCandidates), candidates_b);
+    // Both paths consumed the identical jitter stream.
+    EXPECT_EQ(rng_a.nextUint(), rng_b.nextUint());
 
     const std::vector<Vec3f> dcolors(rays.size(), Vec3f{0.1f, 0.1f, 0.1f});
     batched.backwardRays(dcolors);
@@ -106,28 +156,45 @@ expectTraceRaysMatchesPerRayLoop(const typename PipelineT::Config &cfg)
 TEST(Pipeline, TraceRaysMatchesPerRayLoop)
 {
     expectTraceRaysMatchesPerRayLoop<NerfPipeline>(tinyPipeline());
+    expectTraceRaysMatchesPerRayLoop<FreqPipeline>(tinyFreqPipeline());
+    expectTraceRaysMatchesPerRayLoop<TensorfPipeline>(tinyTensorfPipeline());
+}
 
-    FreqPipelineConfig fc;
-    fc.model.posFrequencies = 4;
-    fc.model.hidden = 16;
-    fc.model.trunkLayers = 2;
-    fc.model.geoFeatures = 7;
-    fc.model.colorHidden = 16;
-    fc.model.shDegree = 2;
-    fc.occupancyResolution = 16;
-    expectTraceRaysMatchesPerRayLoop<FreqPipeline>(fc);
+/** Every gradient block of a model, named, for the backward oracle. */
+using GradBlocks = std::vector<std::pair<const char *, std::span<const float>>>;
+
+GradBlocks
+gradBlocks(NerfModel &m)
+{
+    return {{"density", m.densityNet().grads()},
+            {"color", m.colorNet().grads()},
+            {"encoding", m.encoding().grads()}};
+}
+
+GradBlocks
+gradBlocks(FreqNerfModel &m)
+{
+    return {{"trunk", m.trunk().grads()}, {"color", m.colorNet().grads()}};
+}
+
+GradBlocks
+gradBlocks(TensorfModel &m)
+{
+    return {{"factor", m.factorGrads()}, {"color", m.colorNet().grads()}};
 }
 
 /**
  * One recorded traceRays + backwardRays accumulates the same model
- * gradients as the scalar backwardPoint oracle behind backwardLastRay,
- * ray by ray (up to reassociation of the cross-ray gradient sums).
+ * gradients as the scalar oracle (compositeBackward + backwardPoint,
+ * tests/ray_oracle.h), ray by ray (up to reassociation of the
+ * cross-ray gradient sums).
  */
-TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
+template <class PipelineT>
+void
+expectBackwardRaysMatchesPerRayBackward(const typename PipelineT::Config &cfg)
 {
-    const PipelineConfig pc = tinyPipeline();
-    NerfPipeline batched(pc);
-    NerfPipeline scalar(pc);
+    PipelineT batched(cfg);
+    PipelineT scalar(cfg); // same seed -> identical weights
 
     std::vector<Ray> rays;
     for (int i = 0; i < 4; ++i)
@@ -146,24 +213,31 @@ TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
 
     Pcg32 rng_b(9);
     scalar.model().zeroGrads();
-    for (std::size_t r = 0; r < rays.size(); ++r) {
-        scalar.traceRay(rays[r], rng_b, /*record=*/true);
-        scalar.backwardLastRay(dcolors[r]);
-    }
+    for (std::size_t r = 0; r < rays.size(); ++r)
+        oracle::oracleBackwardRay(scalar, rays[r], rng_b, dcolors[r]);
 
-    const auto check = [](std::span<float> got, std::span<float> want,
-                          const char *what) {
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-            ASSERT_NEAR(got[i], want[i], 1e-5f + 1e-4f * std::fabs(want[i]))
+    const GradBlocks got = gradBlocks(batched.model());
+    const GradBlocks want = gradBlocks(scalar.model());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < got.size(); ++b) {
+        const auto [what, g] = got[b];
+        const std::span<const float> w = want[b].second;
+        ASSERT_EQ(g.size(), w.size()) << what;
+        float max_abs = 0.0f;
+        for (std::size_t i = 0; i < g.size(); ++i) {
+            ASSERT_NEAR(g[i], w[i], 1e-5f + 1e-4f * std::fabs(w[i]))
                 << what << " grad " << i;
-    };
-    check(batched.model().densityNet().grads(), scalar.model().densityNet().grads(),
-          "density");
-    check(batched.model().colorNet().grads(), scalar.model().colorNet().grads(),
-          "color");
-    check(batched.model().encoding().grads(), scalar.model().encoding().grads(),
-          "encoding");
+            max_abs = std::max(max_abs, std::fabs(w[i]));
+        }
+        EXPECT_GT(max_abs, 0.0f) << what << " received no gradient";
+    }
+}
+
+TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
+{
+    expectBackwardRaysMatchesPerRayBackward<NerfPipeline>(tinyPipeline());
+    expectBackwardRaysMatchesPerRayBackward<FreqPipeline>(tinyFreqPipeline());
+    expectBackwardRaysMatchesPerRayBackward<TensorfPipeline>(tinyTensorfPipeline());
 }
 
 TEST(Pipeline, TrainingImprovesPsnr)
@@ -272,25 +346,32 @@ TEST(Moe, TraceFusesWeightedExpertPartials)
     mc.expert.sampler.jitter = false;
     MoeNerf moe(mc);
     Pcg32 rng(7);
-    const Ray ray({0.5f, 0.5f, -1.0f}, {0.0f, 0.0f, 1.0f});
-    const RayEval total = moe.traceRay(ray, rng, false);
-    Vec3f fused(0.0f);
-    int samples = 0;
-    float tprod = 1.0f;
-    for (int k = 0; k < moe.numExperts(); ++k) {
-        const RayEval &p = moe.lastPartials()[static_cast<std::size_t>(k)];
-        fused += p.color * moe.lastFusionWeights()[static_cast<std::size_t>(k)];
-        samples += p.samples;
-        tprod *= p.transmittance;
+    std::vector<Ray> rays;
+    for (int i = 0; i < 3; ++i)
+        rays.emplace_back(Vec3f{0.4f + 0.1f * static_cast<float>(i), 0.5f, -1.0f},
+                          Vec3f{0.0f, 0.0f, 1.0f});
+    std::vector<RayEval> totals(rays.size());
+    moe.traceRays(rays, rng, false, totals);
+    for (std::size_t r = 0; r < rays.size(); ++r) {
+        Vec3f fused(0.0f);
+        int samples = 0;
+        float tprod = 1.0f;
+        for (int k = 0; k < moe.numExperts(); ++k) {
+            const RayEval &p = moe.partial(r, k);
+            fused += p.color * moe.fusionWeight(r, k);
+            samples += p.samples;
+            tprod *= p.transmittance;
+        }
+        const RayEval &total = totals[r];
+        EXPECT_NEAR(total.color.x, fused.x, 1e-5f) << "ray " << r;
+        EXPECT_NEAR(total.color.y, fused.y, 1e-5f) << "ray " << r;
+        EXPECT_EQ(total.samples, samples) << "ray " << r;
+        EXPECT_NEAR(total.transmittance, tprod, 1e-5f) << "ray " << r;
+        // The depth-first expert carries weight 1; the later one is
+        // attenuated by the first's transmittance.
+        EXPECT_FLOAT_EQ(std::max(moe.fusionWeight(r, 0), moe.fusionWeight(r, 1)), 1.0f)
+            << "ray " << r;
     }
-    EXPECT_NEAR(total.color.x, fused.x, 1e-5f);
-    EXPECT_NEAR(total.color.y, fused.y, 1e-5f);
-    EXPECT_EQ(total.samples, samples);
-    EXPECT_NEAR(total.transmittance, tprod, 1e-5f);
-    // The depth-first expert carries weight 1; the later one is
-    // attenuated by the first's transmittance.
-    const auto &w = moe.lastFusionWeights();
-    EXPECT_FLOAT_EQ(std::max(w[0], w[1]), 1.0f);
 }
 
 /**
@@ -316,7 +397,8 @@ TEST(Moe, TraceRaysMatchesPerRayWithoutJitter)
     std::vector<RayEval> evals(rays.size());
     batched.traceRays(rays, rng_a, false, evals);
     for (std::size_t r = 0; r < rays.size(); ++r) {
-        const RayEval ref = scalar.traceRay(rays[r], rng_b, false);
+        RayEval ref;
+        scalar.traceRays({&rays[r], 1}, rng_b, false, {&ref, 1});
         EXPECT_EQ(evals[r].color, ref.color) << "ray " << r;
         EXPECT_EQ(evals[r].samples, ref.samples);
         EXPECT_EQ(evals[r].firstHitT, ref.firstHitT);

@@ -462,30 +462,28 @@ class ReprojectServerTest : public ::testing::Test
 TEST_F(ReprojectServerTest, ColdCacheIsBitIdenticalToFullRender)
 {
     RenderServer server(*registry_, sc_);
+    const ModelEntry *entry = registry_->find("m");
+
+    // Session-less requests skip reprojection outright: every one
+    // full-renders, bit-identical to a direct render, and nothing
+    // enters the session store.
+    EXPECT_EQ(ask(server, 35.0f, "").outcome, Outcome::renderedFull);
+    const RenderResponse stateless = ask(server, 35.5f, "");
+    EXPECT_EQ(stateless.outcome, Outcome::renderedFull);
+    expectImagesIdentical(stateless.image,
+                          nerf::renderImageTiled(*entry->model, &entry->grid,
+                                                 orbitCamera(35.5f, 64), sc_.render,
+                                                 nullptr));
+    EXPECT_EQ(server.sessions().size(), 0u);
+
     const RenderResponse r = ask(server, 35.0f, "stream-1");
     EXPECT_EQ(r.outcome, Outcome::renderedFull);
 
-    const ModelEntry *entry = registry_->find("m");
     const Image direct = nerf::renderImageTiled(
         *entry->model, &entry->grid, orbitCamera(35.0f, 64), sc_.render, nullptr);
     expectImagesIdentical(r.image, direct);
     EXPECT_EQ(server.stats().sessionMisses(), 1u);
     EXPECT_EQ(server.sessions().size(), 1u);
-}
-
-TEST_F(ReprojectServerTest, DisabledReprojectionAlwaysFullRenders)
-{
-    sc_.reproject.enabled = false;
-    RenderServer server(*registry_, sc_);
-    EXPECT_EQ(ask(server, 35.0f, "s").outcome, Outcome::renderedFull);
-    const RenderResponse r = ask(server, 35.5f, "s");
-    EXPECT_EQ(r.outcome, Outcome::renderedFull);
-
-    const ModelEntry *entry = registry_->find("m");
-    const Image direct = nerf::renderImageTiled(
-        *entry->model, &entry->grid, orbitCamera(35.5f, 64), sc_.render, nullptr);
-    expectImagesIdentical(r.image, direct);
-    EXPECT_EQ(server.sessions().size(), 0u);
 }
 
 TEST_F(ReprojectServerTest, WarmSessionServesByReprojection)

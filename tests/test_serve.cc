@@ -1,8 +1,9 @@
 /** @file Tests of the serving subsystem: bit-exact parallel tiled
- *  rendering (against both the single-threaded tiled path and the
- *  existing Trainer::renderView), the model registry, admission
- *  control, deadline shedding, and the drain/stats contract. Expected
- *  to pass under -DFUSION3D_SANITIZE=thread. */
+ *  rendering (against the single-threaded tiled path, a traceRays row
+ *  loop and Trainer::renderView), the model registry, admission
+ *  control, deadline shedding, the warp-degrade rung, and the
+ *  drain/stats contract. Expected to pass under
+ *  -DFUSION3D_SANITIZE=thread. */
 
 #include <gtest/gtest.h>
 
@@ -97,10 +98,12 @@ TEST(ParallelRender, JitteredTilesAreThreadCountInvariant)
     expectImagesIdentical(serial, parallel);
 }
 
-TEST(ParallelRender, MatchesTrainerRenderView)
+TEST(ParallelRender, MatchesTraceRaysAndTrainerRenderView)
 {
-    // The legacy single-threaded path: a pipeline rendered through the
-    // Trainer. Jitter off on both sides makes the comparison exact.
+    // The reference is the training path: a pipeline's traceRays, one
+    // ray batch per image row. Jitter off makes the comparison exact,
+    // both for a tiled render on a pool and for the Trainer's eval
+    // render without one.
     nerf::PipelineConfig pc;
     pc.model = tinyModelConfig();
     pc.sampler.maxSamplesPerRay = 16;
@@ -109,10 +112,18 @@ TEST(ParallelRender, MatchesTrainerRenderView)
     nerf::NerfPipeline pipe(pc);
 
     const nerf::Camera cam = testCamera();
-    nerf::Dataset data;
-    data.train.push_back({cam, Image(cam.width(), cam.height())});
-    nerf::Trainer trainer(pipe, data, nerf::TrainerConfig{});
-    const Image reference = trainer.renderView(cam);
+    Image reference(cam.width(), cam.height());
+    Pcg32 rng(1);
+    std::vector<Ray> rays(static_cast<std::size_t>(cam.width()));
+    std::vector<nerf::RayEval> evals(rays.size());
+    for (int y = 0; y < cam.height(); ++y) {
+        for (int x = 0; x < cam.width(); ++x)
+            rays[static_cast<std::size_t>(x)] = cam.rayForPixel(x, y);
+        pipe.traceRays(rays, rng, /*record=*/false, evals);
+        for (int x = 0; x < cam.width(); ++x)
+            reference.at(x, y) =
+                clamp(evals[static_cast<std::size_t>(x)].color, 0.0f, 1.0f);
+    }
 
     nerf::TiledRenderConfig rc;
     rc.sampler = pc.sampler;
@@ -121,6 +132,11 @@ TEST(ParallelRender, MatchesTrainerRenderView)
     const Image tiled =
         nerf::renderImageTiled(nerf::HashGridServeField(pipe.model()), &pipe.grid(), cam, rc, &pool);
     expectImagesIdentical(reference, tiled);
+
+    nerf::Dataset data;
+    data.train.push_back({cam, Image(cam.width(), cam.height())});
+    nerf::Trainer trainer(pipe, data, nerf::TrainerConfig{});
+    expectImagesIdentical(reference, trainer.renderView(cam));
 }
 
 TEST(ModelRegistry, DeploysFromArtifactFile)
@@ -242,6 +258,70 @@ TEST(RenderServer, ExpiredDeadlineIsShedNotBlocked)
     EXPECT_EQ(resp.outcome, Outcome::rejectedDeadline);
     EXPECT_TRUE(resp.image.empty());
     EXPECT_EQ(server.stats().shed(), 1u);
+}
+
+/** A server whose cost estimate, once the first frame has set it,
+ *  rules out the full and half-resolution rungs for any finite
+ *  deadline, so later requests reach the warp-degrade rung. */
+ServeConfig
+warpRungConfig()
+{
+    ServeConfig sc;
+    sc.renderThreads = 1;
+    sc.render.sampler.maxSamplesPerRay = 16;
+    sc.estimateHeadroom = 1e12;
+    return sc;
+}
+
+RenderRequest
+deadlineRequest(const std::string &model, float azim)
+{
+    RenderRequest req;
+    req.model = model;
+    req.camera = nerf::Camera::orbit({0.5f, 0.5f, 0.5f}, 1.4f, azim, 20.0f, 45.0f,
+                                     32, 32);
+    req.deadline = Clock::now() + std::chrono::seconds(60);
+    return req;
+}
+
+TEST(RenderServer, WarpRungServesSameEpochFrame)
+{
+    ModelRegistry registry(8);
+    registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
+    RenderServer server(registry, warpRungConfig());
+
+    // No estimate yet: the first frame renders full and becomes the
+    // model's warp source.
+    EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f)).get().outcome,
+              Outcome::renderedFull);
+    ASSERT_GT(server.estimatedSecondsPerPixel(), 0.0);
+
+    const RenderResponse warped = server.submit(deadlineRequest("m", 36.0f)).get();
+    EXPECT_EQ(warped.outcome, Outcome::renderedWarp);
+    EXPECT_EQ(warped.image.width(), 32);
+    EXPECT_EQ(warped.image.height(), 32);
+    server.shutdown();
+    EXPECT_EQ(server.stats().count(Outcome::renderedWarp), 1u);
+}
+
+TEST(RenderServer, WarpRungNeverServesReplacedModel)
+{
+    ModelRegistry registry(8);
+    registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
+    RenderServer server(registry, warpRungConfig());
+    EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f)).get().outcome,
+              Outcome::renderedFull);
+
+    // Hot-swap: the cached frame shows the replaced model. With no
+    // rung left that fits the budget, the request is shed rather than
+    // served from the old model's frame.
+    registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 99));
+    ASSERT_EQ(registry.epoch("m"), 2u);
+    const RenderResponse after = server.submit(deadlineRequest("m", 36.0f)).get();
+    EXPECT_EQ(after.outcome, Outcome::rejectedDeadline);
+    EXPECT_TRUE(after.image.empty());
+    server.shutdown();
+    EXPECT_EQ(server.stats().count(Outcome::renderedWarp), 0u);
 }
 
 TEST(RenderServer, OverloadShedsAtAdmissionAndDrainsClean)

@@ -8,6 +8,7 @@
 #include "chip/chip.h"
 #include "nerf/moe.h"
 #include "nerf/trainer.h"
+#include "ray_oracle.h"
 #include "scenes/dataset_gen.h"
 #include "scenes/factory.h"
 
@@ -174,8 +175,9 @@ TEST(MoeDegenerate, SingleExpertMatchesPlainPipeline)
     for (int i = 0; i < 50; ++i) {
         const Ray ray({0.2f + 0.01f * static_cast<float>(i), 0.4f, -1.0f},
                       {0.0f, 0.1f, 1.0f});
-        const nerf::RayEval a = moe.traceRay(ray, rng_a, false);
-        const nerf::RayEval b = plain.traceRay(ray, rng_b, false);
+        nerf::RayEval a;
+        moe.traceRays({&ray, 1}, rng_a, false, {&a, 1});
+        const nerf::RayEval b = nerf::oracle::oracleTraceRay(plain, ray, rng_b);
         EXPECT_EQ(a.samples, b.samples);
         EXPECT_NEAR(a.color.x, b.color.x, 1e-5f);
         EXPECT_NEAR(a.transmittance, b.transmittance, 1e-5f);
