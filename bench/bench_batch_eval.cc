@@ -7,8 +7,8 @@
  * frequency-encoded FreqNerfModel, and the CP-factorized TensorfModel
  * (forwardPointBatch). The hash-grid backend additionally runs the
  * quantized inference modes (fp16/int8 packed weight images) and an
- * end-to-end traceRays section that shows the occupancy-compaction win
- * (fewer MLP-visible samples per ray) rather than hiding it behind
+ * end-to-end traceRays section that shows the sampler's occupancy-gate
+ * win (fewer MLP-visible samples per ray) rather than hiding it behind
  * per-sample metrics.
  *
  * Prints the usual table per configuration plus one machine-readable
@@ -19,9 +19,8 @@
  *  - SIMD-dispatch fp32 < 1.5x the forced-scalar-dispatch batched
  *    baseline at batch 256 on the hash-grid backend (skipped when the
  *    host has no SIMD dispatch to measure);
- *  - end-to-end compaction not reducing MLP-visible samples, running
- *    slower than the ungated baseline, or diverging bit-wise from the
- *    gated path's composited colors.
+ *  - the end-to-end sampler-gated arm not reducing MLP-visible samples
+ *    below candidates, or running no faster than the ungated baseline.
  *
  * Usage: bench_batch_eval [--quick] [--backend nerf|freq|tensorf|all]
  *                         [--quant fp32|fp16|int8|all] [--simd on|off|both]
@@ -36,9 +35,9 @@
  *             SIMD speedup gate has both sides.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -203,25 +202,33 @@ runConfig(const char *backend, const char *quant, std::size_t budget,
     return r;
 }
 
-// --- End-to-end traceRays: the occupancy-compaction section ----------------
+// --- End-to-end traceRays: the occupancy-gate section --------------------
+
+struct ArmResult
+{
+    double sps = 0.0;             ///< candidate samples/s over the timed reps
+    std::uint64_t candidates = 0; ///< sum of RayWorkload::totalCandidates
+    std::uint64_t mlpSamples = 0; ///< sum of RayEval::samples
+};
 
 struct E2eResult
 {
     bool ran = false;
-    double ungatedSps = 0.0; ///< candidate samples/s, all-occupied gate
-    double gatedSps = 0.0;   ///< candidate samples/s, sampler-gated
-    double compactSps = 0.0; ///< candidate samples/s, batch compaction
-    std::uint64_t batchSamples = 0; ///< compact arm: samples in the batch
-    std::uint64_t mlpSamples = 0;   ///< compact arm: samples the MLP saw
-    bool colorsMatch = true; ///< compact vs gated composited colors
+    ArmResult ungated; ///< all-occupied gate
+    ArmResult gated;   ///< sampler-gated
 };
 
-double
-traceArm(nerf::NerfPipeline &pipe, std::span<const Ray> rays, std::size_t reps,
-         std::vector<nerf::RayEval> &evals, std::uint64_t &candidates)
+/** Trace @p rays through @p pipe: one untimed warm-up pass, so the arm
+ *  order cannot decide the rate, then @p reps timed passes. */
+ArmResult
+traceArm(nerf::NerfPipeline &pipe, std::span<const Ray> rays, std::size_t reps)
 {
-    evals.resize(rays.size());
-    candidates = 0;
+    std::vector<nerf::RayEval> evals(rays.size());
+    {
+        Pcg32 rng(777, 0);
+        pipe.traceRays(rays, rng, /*record=*/false, evals);
+    }
+    ArmResult r;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t rep = 0; rep < reps; ++rep) {
         // Identical streams across arms: the jitter draws (one per ray)
@@ -229,18 +236,20 @@ traceArm(nerf::NerfPipeline &pipe, std::span<const Ray> rays, std::size_t reps,
         Pcg32 rng(777, rep);
         nerf::RayWorkload wl;
         pipe.traceRays(rays, rng, /*record=*/false, evals, &wl);
-        candidates += static_cast<std::uint64_t>(wl.totalCandidates);
+        r.candidates += static_cast<std::uint64_t>(wl.totalCandidates);
+        for (const nerf::RayEval &e : evals)
+            r.mlpSamples += static_cast<std::uint64_t>(e.samples);
     }
-    return secondsSince(t0);
+    r.sps = static_cast<double>(r.candidates) / secondsSince(t0);
+    return r;
 }
 
 /**
- * Trace the same ray set three ways on the demo scene: through an
- * all-occupied gate (every candidate reaches the MLP), through the
- * sampler's occupancy gate, and with batch-build compaction. The rate
- * unit is *candidate* samples/s — equal work per arm — so skipping
- * empty space shows up as throughput instead of vanishing into a
- * per-sample metric.
+ * Trace the same ray set two ways on the demo scene: through an
+ * all-occupied gate (every candidate reaches the MLP) and through the
+ * sampler's occupancy gate. The rate unit is *candidate* samples/s —
+ * equal work per arm — so skipping empty space shows up as throughput
+ * instead of vanishing into a per-sample metric.
  */
 E2eResult
 measureE2e(std::size_t budget)
@@ -255,59 +264,42 @@ measureE2e(std::size_t budget)
     const std::size_t reps = std::max<std::size_t>(
         1, budget / (rays.size() * 64)); // ~maxSamplesPerRay candidates/ray
 
+    // All-occupied gate (a grid never updated keeps every cell on):
+    // every candidate hits the MLP.
+    nerf::NerfPipeline ungated(bench::defaultPipeline());
+    const auto gated = bench::pipelineForScene(*scene);
+
     E2eResult r;
     r.ran = true;
-    std::vector<nerf::RayEval> evals_ungated, evals_gated, evals_compact;
-    std::uint64_t cand_ungated = 0, cand_gated = 0, cand_compact = 0;
-
-    {
-        // All-occupied gate (a grid never updated keeps every cell on):
-        // the pre-compaction worst case, every candidate hits the MLP.
-        nerf::NerfPipeline ungated(bench::defaultPipeline());
-        const double s =
-            traceArm(ungated, rays, reps, evals_ungated, cand_ungated);
-        r.ungatedSps = static_cast<double>(cand_ungated) / s;
-    }
-
-    auto pipe = bench::pipelineForScene(*scene);
-    pipe->setOccupancyCompaction(false);
-    {
-        const double s = traceArm(*pipe, rays, reps, evals_gated, cand_gated);
-        r.gatedSps = static_cast<double>(cand_gated) / s;
-    }
-    pipe->setOccupancyCompaction(true);
-    {
-        const double s =
-            traceArm(*pipe, rays, reps, evals_compact, cand_compact);
-        r.compactSps = static_cast<double>(cand_compact) / s;
-        const nerf::RayBatchEvaluator::CompactionStats cs = pipe->lastCompaction();
-        r.batchSamples = cs.batchSamples;
-        r.mlpSamples = cs.mlpSamples;
-    }
-
-    for (std::size_t i = 0; i < rays.size(); ++i) {
-        const Vec3f a = evals_gated[i].color;
-        const Vec3f b = evals_compact[i].color;
-        if (a.x != b.x || a.y != b.y || a.z != b.z)
-            r.colorsMatch = false;
-    }
+    r.ungated = traceArm(ungated, rays, reps);
+    r.gated = traceArm(*gated, rays, reps);
+    const ArmResult &g = r.gated;
 
     bench::banner("End-to-end traceRays [hash_grid, lego]: candidate samples/s");
     std::printf("%-28s %18s\n", "arm", "candidates (sm/s)");
-    std::printf("%-28s %18.0f\n", "ungated (all to MLP)", r.ungatedSps);
-    std::printf("%-28s %18.0f\n", "sampler-gated", r.gatedSps);
-    std::printf("%-28s %18.0f\n", "batch compaction", r.compactSps);
-    std::printf("compaction batch: %llu samples, %llu MLP-visible (%.1f%%); "
-                "colors vs gated: %s\n",
-                static_cast<unsigned long long>(r.batchSamples),
-                static_cast<unsigned long long>(r.mlpSamples),
-                r.batchSamples
-                    ? 100.0 * static_cast<double>(r.mlpSamples) /
-                          static_cast<double>(r.batchSamples)
-                    : 0.0,
-                r.colorsMatch ? "bit-identical" : "MISMATCH");
+    std::printf("%-28s %18.0f\n", "ungated (all to MLP)", r.ungated.sps);
+    std::printf("%-28s %18.0f\n", "sampler-gated", g.sps);
+    std::printf("sampler-gated: %llu candidates, %llu MLP-visible (%.1f%%)\n",
+                static_cast<unsigned long long>(g.candidates),
+                static_cast<unsigned long long>(g.mlpSamples),
+                g.candidates ? 100.0 * static_cast<double>(g.mlpSamples) /
+                                   static_cast<double>(g.candidates)
+                             : 0.0);
     bench::rule();
     return r;
+}
+
+/** A positive decimal count that spans the whole of @p arg. */
+bool
+parseCount(const char *arg, std::size_t *out)
+{
+    const char *end = arg + std::strlen(arg);
+    std::size_t v = 0;
+    const auto [ptr, ec] = std::from_chars(arg, end, v);
+    if (ec != std::errc() || ptr != end || v == 0)
+        return false;
+    *out = v;
+    return true;
 }
 
 } // namespace
@@ -329,9 +321,7 @@ main(int argc, char **argv)
             quant = argv[++i];
         else if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc)
             simd_arg = argv[++i];
-        else if (std::atoll(argv[i]) > 0)
-            budget = static_cast<std::size_t>(std::atoll(argv[i]));
-        else
+        else if (!parseCount(argv[i], &budget))
             fatal("usage: %s [--quick] [--backend nerf|freq|tensorf|all] "
                   "[--quant fp32|fp16|int8|all] [--simd on|off|both] "
                   "[samples_per_config]",
@@ -470,12 +460,10 @@ main(int argc, char **argv)
     if (e2e.ran) {
         std::snprintf(buf, sizeof(buf),
                       ",\"e2e\":{\"ungated_sps\":%.0f,\"gated_sps\":%.0f,"
-                      "\"compact_sps\":%.0f,\"batch_samples\":%llu,"
-                      "\"mlp_samples\":%llu,\"colors_bit_identical\":%s}",
-                      e2e.ungatedSps, e2e.gatedSps, e2e.compactSps,
-                      static_cast<unsigned long long>(e2e.batchSamples),
-                      static_cast<unsigned long long>(e2e.mlpSamples),
-                      e2e.colorsMatch ? "true" : "false");
+                      "\"gated_candidates\":%llu,\"gated_mlp_samples\":%llu}",
+                      e2e.ungated.sps, e2e.gated.sps,
+                      static_cast<unsigned long long>(e2e.gated.candidates),
+                      static_cast<unsigned long long>(e2e.gated.mlpSamples));
         json += buf;
     }
     json += "}";
@@ -509,24 +497,20 @@ main(int argc, char **argv)
         }
     }
     if (e2e.ran) {
-        if (e2e.mlpSamples >= e2e.batchSamples) {
+        const ArmResult &g = e2e.gated;
+        if (g.mlpSamples >= g.candidates) {
             std::fprintf(stderr,
-                         "FAIL: e2e compaction did not reduce MLP-visible "
-                         "samples (%llu of %llu)\n",
-                         static_cast<unsigned long long>(e2e.mlpSamples),
-                         static_cast<unsigned long long>(e2e.batchSamples));
+                         "FAIL: e2e sampler gate did not reduce MLP-visible "
+                         "samples (%llu of %llu candidates)\n",
+                         static_cast<unsigned long long>(g.mlpSamples),
+                         static_cast<unsigned long long>(g.candidates));
             failed = true;
         }
-        if (e2e.compactSps <= e2e.ungatedSps) {
+        if (g.sps <= e2e.ungated.sps) {
             std::fprintf(stderr,
-                         "FAIL: e2e compaction (%.0f sm/s) not faster than "
+                         "FAIL: e2e sampler-gated (%.0f sm/s) not faster than "
                          "the ungated baseline (%.0f sm/s)\n",
-                         e2e.compactSps, e2e.ungatedSps);
-            failed = true;
-        }
-        if (!e2e.colorsMatch) {
-            std::fprintf(stderr, "FAIL: e2e compaction colors diverge from "
-                                 "the gated path\n");
+                         g.sps, e2e.ungated.sps);
             failed = true;
         }
     }

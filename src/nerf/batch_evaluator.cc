@@ -10,35 +10,6 @@ namespace fusion3d::nerf
 namespace
 {
 
-/** Process-wide occupancy-compaction counters behind nerf.batch.compaction.*. */
-struct CompactionMetrics
-{
-    std::atomic<std::uint64_t> batch_samples{0};
-    std::atomic<std::uint64_t> mlp_samples{0};
-
-    CompactionMetrics()
-    {
-        obs::MetricsRegistry::global().registerCollector(
-            "nerf.batch.compaction", [this](obs::MetricSink &sink) {
-                const double b = static_cast<double>(
-                    batch_samples.load(std::memory_order_relaxed));
-                const double m = static_cast<double>(
-                    mlp_samples.load(std::memory_order_relaxed));
-                sink.counter("nerf.batch.compaction.batch_samples", b);
-                sink.counter("nerf.batch.compaction.mlp_samples", m);
-                sink.gauge("nerf.batch.compaction.keep_ratio",
-                           b > 0.0 ? m / b : 1.0);
-            });
-    }
-};
-
-CompactionMetrics &
-compactionMetrics()
-{
-    static CompactionMetrics metrics;
-    return metrics;
-}
-
 /** Process-wide shard-engine counters behind nerf.train.*. */
 struct TrainStats
 {
@@ -91,14 +62,6 @@ void
 noteGradientReduce()
 {
     trainStats().reduces.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-noteCompactionMetrics(std::size_t batch_samples, std::size_t mlp_samples)
-{
-    CompactionMetrics &m = compactionMetrics();
-    m.batch_samples.fetch_add(batch_samples, std::memory_order_relaxed);
-    m.mlp_samples.fetch_add(mlp_samples, std::memory_order_relaxed);
 }
 
 } // namespace fusion3d::nerf

@@ -29,9 +29,6 @@ namespace fusion3d::nerf
 /** Rays per compositing chunk in the pool-parallel loops. */
 inline constexpr int kRayCompositeGrain = 64;
 
-/** Feed the nerf.batch.compaction.* metrics (batch_evaluator.cc). */
-void noteCompactionMetrics(std::size_t batch_samples, std::size_t mlp_samples);
-
 /** Feed the nerf.train.* shard-engine counters: one sharded model call
  *  over @p samples split into @p shards, and one gradient reduction. */
 void noteShardedCall(std::size_t samples, std::size_t shards);
@@ -51,36 +48,11 @@ class RayBatchEvaluator
     void invalidateTape() { tape_valid_ = false; }
     const SampleBatch &tapeBatch() const { return tape_batch_; }
 
-    /** Sample accounting of the last traceRays on this evaluator. */
-    struct CompactionStats
-    {
-        /** Samples in the composited batch (all candidates). */
-        std::size_t batchSamples = 0;
-        /** Samples the model actually evaluated. */
-        std::size_t mlpSamples = 0;
-    };
-
     /**
-     * Enable occupancy-driven sample compaction: Stage I keeps every
-     * lattice candidate (the sampler runs ungated, consuming the same
-     * one-jitter-per-ray rng stream), the gate is probed once per
-     * sample at batch build, and only occupied samples reach the model;
-     * their outputs scatter back into the full batch, whose empty slots
-     * keep sigma 0 — an exact compositing no-op, so composited colors
-     * (and, through the tape, parameter gradients) are bit-identical
-     * to the gated path. RayEval::samples counts MLP-visible samples
-     * and firstHitT is the first occupied sample's t, exactly as in
-     * the gated path; RayEval::composited may differ (empty candidates
-     * participate in early termination counting). No-op while the
-     * caller passes a null grid.
-     */
-    void setCompaction(bool on) { compaction_ = on; }
-    bool compaction() const { return compaction_; }
-    const CompactionStats &lastCompaction() const { return last_compaction_; }
-
-    /**
-     * Batch-native traceRays: Stage I samples every ray, in order, into
-     * one flat SoA batch, @p forward fills batch.sigmas/batch.rgbs
+     * Batch-native traceRays: Stage I samples every ray, in order,
+     * through the occupancy gate @p grid (the one place empty samples
+     * are dropped; null = every cell occupied) into one flat SoA
+     * batch, @p forward fills batch.sigmas/batch.rgbs
      * (after prepareOutputs), then each ray composites over its CSR
      * range — pool-parallel, bit-exact with the serial loop because
      * rays touch disjoint ranges. record=true keeps the batch as the
@@ -107,19 +79,14 @@ class RayBatchEvaluator
             workload->intersectionOps.reset();
         }
 
-        const bool compact = compaction_ && grid != nullptr;
         SampleBatch &batch = record ? tape_batch_ : scratch_batch_;
         batch.clear();
 
         // Stage I: sample every ray, in order, into one flat SoA batch.
         // The rng is consumed per ray exactly as the scalar loop did,
-        // so jitter streams are batch-size invariant. Under compaction
-        // the sampler runs ungated (one jitter draw per ray either
-        // way, so the stream is identical) and the gate moves to the
-        // batch-build probe below.
+        // so jitter streams are batch-size invariant.
         for (std::size_t r = 0; r < rays.size(); ++r) {
-            sampler.sample(rays[r], compact ? nullptr : grid, rng,
-                           scratch_samples_,
+            sampler.sample(rays[r], grid, rng, scratch_samples_,
                            workload ? &scratch_workload_ : nullptr);
             batch.appendRay(normalize(rays[r].dir), scratch_samples_);
             out[r] = RayEval{};
@@ -130,50 +97,9 @@ class RayBatchEvaluator
                 workload->mergeFrom(scratch_workload_);
         }
 
-        // Stages II+III: the backend's batched forward. Under
-        // compaction only gate-occupied samples reach the model; their
-        // outputs scatter back while empty slots keep the zeros
-        // prepareOutputs() left (exact compositing no-ops).
+        // Stages II+III: the backend's batched forward.
         batch.prepareOutputs();
-        if (compact) {
-            SampleBatch &cb =
-                record ? tape_compact_batch_ : scratch_compact_batch_;
-            std::vector<std::size_t> &cidx =
-                record ? tape_compact_index_ : scratch_compact_index_;
-            cb.clear();
-            cidx.clear();
-            for (int r = 0; r < batch.numRays(); ++r) {
-                const std::size_t begin = batch.rayBegin(r);
-                const std::size_t count = batch.raySampleCount(r);
-                int kept = 0;
-                for (std::size_t s = begin; s < begin + count; ++s) {
-                    if (!grid->occupiedAt(batch.positions[s]))
-                        continue;
-                    cb.positions.push_back(batch.positions[s]);
-                    cb.dirs.push_back(batch.dirs[s]);
-                    cb.ts.push_back(batch.ts[s]);
-                    cb.dts.push_back(batch.dts[s]);
-                    cidx.push_back(s);
-                    if (kept == 0)
-                        out[static_cast<std::size_t>(r)].firstHitT =
-                            batch.ts[s];
-                    ++kept;
-                }
-                out[static_cast<std::size_t>(r)].samples = kept;
-            }
-            cb.rayOffsets.push_back(cb.positions.size());
-            cb.prepareOutputs();
-            forward(cb);
-            for (std::size_t k = 0; k < cidx.size(); ++k) {
-                batch.sigmas[cidx[k]] = cb.sigmas[k];
-                batch.rgbs[cidx[k]] = cb.rgbs[k];
-            }
-            last_compaction_ = {batch.size(), cb.size()};
-            noteCompactionMetrics(batch.size(), cb.size());
-        } else {
-            forward(batch);
-            last_compaction_ = {batch.size(), batch.size()};
-        }
+        forward(batch);
 
         // Composite per ray through its CSR range. Each ray reads and
         // writes only its own range/slots, so the parallel split is
@@ -192,11 +118,7 @@ class RayBatchEvaluator
             out[r].color = cr.color;
             out[r].transmittance = cr.transmittance;
             out[r].composited = cr.used;
-            // Under compaction firstHitT was already pinned to the
-            // first *occupied* sample during the gate probe (matching
-            // the gated path); the CSR begin here is the first
-            // candidate, occupied or not.
-            if (!compact && count > 0)
+            if (count > 0)
                 out[r].firstHitT = batch.ts[begin];
         };
         if (pool) {
@@ -212,10 +134,8 @@ class RayBatchEvaluator
                 composite_ray(r);
         }
 
-        if (record) {
+        if (record)
             tape_valid_ = true;
-            tape_compacted_ = compact;
-        }
     }
 
     /**
@@ -276,26 +196,7 @@ class RayBatchEvaluator
                 backward_ray(r, composite_scratch_);
         }
 
-        if (tape_compacted_) {
-            // The model only saw the occupied samples; gather their
-            // composite gradients from the full-batch arrays. Empty
-            // samples never reached the model, so whatever gradient
-            // compositing assigned them is dropped — exactly the gated
-            // path's behaviour.
-            compact_dsigmas_.resize(tape_compact_index_.size());
-            compact_drgbs_.resize(tape_compact_index_.size());
-            for (std::size_t k = 0; k < tape_compact_index_.size(); ++k) {
-                compact_dsigmas_[k] = tape_dsigmas_[tape_compact_index_[k]];
-                compact_drgbs_[k] = tape_drgbs_[tape_compact_index_[k]];
-            }
-            backward(static_cast<const SampleBatch &>(tape_compact_batch_),
-                     std::span<const float>(compact_dsigmas_),
-                     std::span<const Vec3f>(compact_drgbs_));
-        } else {
-            backward(static_cast<const SampleBatch &>(tape_batch_),
-                     std::span<const float>(tape_dsigmas_),
-                     std::span<const Vec3f>(tape_drgbs_));
-        }
+        backward(tape_batch_, tape_dsigmas_, tape_drgbs_);
         tape_valid_ = false;
     }
 
@@ -316,18 +217,6 @@ class RayBatchEvaluator
     RayWorkload scratch_workload_;
     CompositeBackwardScratch composite_scratch_;
     std::vector<CompositeBackwardScratch> composite_scratches_;
-
-    // Occupancy-compaction state: the compact batch the model sees and
-    // the full-batch index of each compact sample, per tape/scratch.
-    bool compaction_ = false;
-    bool tape_compacted_ = false;
-    CompactionStats last_compaction_;
-    SampleBatch tape_compact_batch_;
-    std::vector<std::size_t> tape_compact_index_;
-    SampleBatch scratch_compact_batch_;
-    std::vector<std::size_t> scratch_compact_index_;
-    std::vector<float> compact_dsigmas_;
-    std::vector<Vec3f> compact_drgbs_;
 };
 
 } // namespace fusion3d::nerf

@@ -49,17 +49,12 @@ void
 OccupancyGrid::update(const std::function<float(const Vec3f &)> &density, Pcg32 &rng,
                       float decay)
 {
-    const float inv = 1.0f / static_cast<float>(res_);
-    for (std::size_t i = 0; i < density_.size(); ++i) {
-        Vec3f p = cellCenter(i);
-        // Jitter within the cell so thin structures are found eventually.
-        p.x += (rng.nextFloat() - 0.5f) * inv;
-        p.y += (rng.nextFloat() - 0.5f) * inv;
-        p.z += (rng.nextFloat() - 0.5f) * inv;
-        const float fresh = density(clamp(p, 0.0f, 1.0f));
-        density_[i] = std::max(density_[i] * decay, fresh);
-        occupied_[i] = density_[i] > threshold_;
-    }
+    std::vector<Vec3f> probes;
+    collectProbePositions(rng, probes);
+    std::vector<float> fresh(probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i)
+        fresh[i] = density(probes[i]);
+    applyDensities(fresh, decay);
 }
 
 void
@@ -69,7 +64,7 @@ OccupancyGrid::collectProbePositions(Pcg32 &rng, std::vector<Vec3f> &out) const
     const float inv = 1.0f / static_cast<float>(res_);
     for (std::size_t i = 0; i < density_.size(); ++i) {
         Vec3f p = cellCenter(i);
-        // Exactly the three draws update() makes, in the same order.
+        // Jitter within the cell so thin structures are found eventually.
         p.x += (rng.nextFloat() - 0.5f) * inv;
         p.y += (rng.nextFloat() - 0.5f) * inv;
         p.z += (rng.nextFloat() - 0.5f) * inv;

@@ -48,7 +48,8 @@ class OccupancyGrid
      * EMA update from a density oracle (the NeRF model during training,
      * or an analytic scene). Each cell is probed at its jittered center;
      * the stored estimate decays toward the fresh sample as in
-     * Instant-NGP's grid update.
+     * Instant-NGP's grid update. Runs collectProbePositions, the oracle
+     * once per probe in cell order, then applyDensities.
      *
      * @param density Density oracle over normalized coordinates.
      * @param rng     Jitter source.
@@ -58,20 +59,19 @@ class OccupancyGrid
                 float decay = 0.95f);
 
     /**
-     * Phase one of a split update: the jittered probe position of every
-     * cell, in cell order. Consumes exactly the rng draws update() would
-     * (three per cell), so collect + applyDensities with a bit-exact
-     * density oracle reproduces update() exactly — this is what lets
-     * the trainer evaluate the probes as one parallel batch without
-     * perturbing the jitter stream.
+     * Phase one of an update: the jittered probe position of every
+     * cell, in cell order, drawing three jitters per cell. Callers with
+     * a batched density oracle (the pipelines) evaluate the probes as
+     * one parallel batch between this and applyDensities; update() is
+     * the same two phases around a scalar oracle.
      *
-     * @param rng Jitter source (same stream position as update()).
+     * @param rng Jitter source.
      * @param out Resized to cellCount(), clamped into [0,1]^3.
      */
     void collectProbePositions(Pcg32 &rng, std::vector<Vec3f> &out) const;
 
     /**
-     * Phase two of a split update: fold per-cell fresh density samples
+     * Phase two of an update: fold per-cell fresh density samples
      * (cell order, cellCount() values) into the EMA and refresh the
      * occupancy bits.
      */

@@ -69,10 +69,6 @@ struct PointPipelineConfig
     RenderParams render;
     int occupancyResolution = 48;
     float occupancyThreshold = 0.01f;
-    /** Compact occupancy-empty samples out of the batch before the
-     *  model forward (RayBatchEvaluator::setCompaction). Composited
-     *  colors stay bit-identical to the gated path. */
-    bool occupancyCompaction = false;
     /** Learning rate of the model's field parameters (hash table, line
      *  factors, or MLP trunk). */
     float lrFactors = ModelT::kLrFactors;
@@ -100,7 +96,6 @@ class PointPipeline : public RadianceField
           grid_(cfg.occupancyResolution, cfg.occupancyThreshold),
           sampler_(cfg.sampler)
     {
-        eval_.setCompaction(cfg.occupancyCompaction);
     }
 
     const Config &config() const { return cfg_; }
@@ -108,15 +103,6 @@ class PointPipeline : public RadianceField
     const ModelT &model() const { return *model_; }
     OccupancyGrid &grid() { return grid_; }
     const OccupancyGrid &grid() const { return grid_; }
-
-    /** Toggle occupancy-driven sample compaction at runtime. */
-    void setOccupancyCompaction(bool on) { eval_.setCompaction(on); }
-    bool occupancyCompaction() const { return eval_.compaction(); }
-    /** Batch-vs-model sample counts of the last traceRays call. */
-    RayBatchEvaluator::CompactionStats lastCompaction() const
-    {
-        return eval_.lastCompaction();
-    }
 
     /**
      * Batch-native override: Stage I samples every ray into one CSR

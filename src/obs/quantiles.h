@@ -3,8 +3,7 @@
  * Streaming quantile estimator over log2-spaced buckets, for the
  * tail-latency percentiles (p50/p95/p99/p99.9) the serving layer
  * reports. Lives in `obs` (stdlib-only, bottom of the dependency
- * order) so both the sim stats package and the SLO monitor can use it;
- * `sim::Quantiles` aliases this type.
+ * order) so both the sim stats package and the SLO monitor can use it.
  *
  * Each octave [2^k, 2^(k+1)) is split into kSubBuckets linear
  * sub-buckets (HdrHistogram-style log-linear layout), so a reported

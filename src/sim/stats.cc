@@ -81,10 +81,10 @@ StatGroup::addHistogram(const std::string &name)
     return *histograms_.back();
 }
 
-Quantiles &
+obs::Quantiles &
 StatGroup::addQuantiles(const std::string &name)
 {
-    quantiles_.push_back(std::make_unique<Quantiles>(name));
+    quantiles_.push_back(std::make_unique<obs::Quantiles>(name));
     return *quantiles_.back();
 }
 

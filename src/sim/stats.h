@@ -93,13 +93,6 @@ class Histogram
 };
 
 /**
- * Streaming quantile estimator for tail-latency percentiles. The
- * implementation lives in obs (see obs/quantiles.h) so the SLO monitor
- * can share it; the sim alias keeps every existing call site intact.
- */
-using Quantiles = obs::Quantiles;
-
-/**
  * A registry of stats that dumps them in a stable text format. Models
  * register their stats at construction; benches call dump().
  */
@@ -111,7 +104,7 @@ class StatGroup
     Counter &addCounter(const std::string &name);
     Distribution &addDistribution(const std::string &name);
     Histogram &addHistogram(const std::string &name);
-    Quantiles &addQuantiles(const std::string &name);
+    obs::Quantiles &addQuantiles(const std::string &name);
 
     /** Reset every registered stat. */
     void resetAll();
@@ -136,7 +129,7 @@ class StatGroup
     std::vector<std::unique_ptr<Counter>> counters_;
     std::vector<std::unique_ptr<Distribution>> distributions_;
     std::vector<std::unique_ptr<Histogram>> histograms_;
-    std::vector<std::unique_ptr<Quantiles>> quantiles_;
+    std::vector<std::unique_ptr<obs::Quantiles>> quantiles_;
 };
 
 } // namespace fusion3d::sim

@@ -79,6 +79,34 @@ tinyTensorfPipeline()
     return tc;
 }
 
+/** Gate inputs of the oracle tests: the fresh grid (every cell
+ *  occupied), or a sphere of radius 0.3 around the cube centre, so
+ *  the sampler drops a good share of each ray's candidates. */
+enum class Gate
+{
+    full,
+    sphere,
+};
+
+void
+applyGate(OccupancyGrid &grid, Gate gate)
+{
+    if (gate == Gate::sphere)
+        grid.maskRegion([](const Vec3f &p) {
+            const Vec3f d = p - Vec3f{0.5f, 0.5f, 0.5f};
+            return dot(d, d) < 0.09f;
+        });
+}
+
+/** True when the gate dropped some candidates of some ray. */
+bool
+someRayGated(std::span<const RayEval> evals)
+{
+    return std::any_of(evals.begin(), evals.end(), [](const RayEval &e) {
+        return e.samples < e.candidates;
+    });
+}
+
 TEST(Pipeline, TraceRaysDeterministicWithoutJitter)
 {
     PipelineConfig pc = tinyPipeline();
@@ -113,15 +141,18 @@ TEST(Pipeline, BackwardRaysRequiresRecordedBatch)
  * The batched entry point is bit-exact with the scalar oracle
  * (tests/ray_oracle.h: forwardPoint per sample): sampling draws jitter
  * in the same ray order, and the SoA forward evaluates every sample
- * with scalar-identical arithmetic. A recorded batch must also accept
- * its gradient batch.
+ * with scalar-identical arithmetic, whether or not the gate drops
+ * samples. A recorded batch must also accept its gradient batch.
  */
 template <class PipelineT>
 void
-expectTraceRaysMatchesPerRayLoop(const typename PipelineT::Config &cfg)
+expectTraceRaysMatchesPerRayLoop(const typename PipelineT::Config &cfg, Gate gate)
 {
+    SCOPED_TRACE(gate == Gate::full ? "full gate" : "sphere gate");
     PipelineT batched(cfg);
     PipelineT scalar(cfg); // same seed -> identical weights
+    applyGate(batched.grid(), gate);
+    applyGate(scalar.grid(), gate);
 
     std::vector<Ray> rays;
     for (int i = 0; i < 6; ++i)
@@ -147,6 +178,9 @@ expectTraceRaysMatchesPerRayLoop(const typename PipelineT::Config &cfg)
     EXPECT_EQ(static_cast<std::uint64_t>(wl_a.totalCandidates), candidates_b);
     // Both paths consumed the identical jitter stream.
     EXPECT_EQ(rng_a.nextUint(), rng_b.nextUint());
+    if (gate == Gate::sphere) {
+        EXPECT_TRUE(someRayGated(evals));
+    }
 
     const std::vector<Vec3f> dcolors(rays.size(), Vec3f{0.1f, 0.1f, 0.1f});
     batched.backwardRays(dcolors);
@@ -155,9 +189,11 @@ expectTraceRaysMatchesPerRayLoop(const typename PipelineT::Config &cfg)
 
 TEST(Pipeline, TraceRaysMatchesPerRayLoop)
 {
-    expectTraceRaysMatchesPerRayLoop<NerfPipeline>(tinyPipeline());
-    expectTraceRaysMatchesPerRayLoop<FreqPipeline>(tinyFreqPipeline());
-    expectTraceRaysMatchesPerRayLoop<TensorfPipeline>(tinyTensorfPipeline());
+    for (const Gate gate : {Gate::full, Gate::sphere}) {
+        expectTraceRaysMatchesPerRayLoop<NerfPipeline>(tinyPipeline(), gate);
+        expectTraceRaysMatchesPerRayLoop<FreqPipeline>(tinyFreqPipeline(), gate);
+        expectTraceRaysMatchesPerRayLoop<TensorfPipeline>(tinyTensorfPipeline(), gate);
+    }
 }
 
 /** Every gradient block of a model, named, for the backward oracle. */
@@ -187,14 +223,18 @@ gradBlocks(TensorfModel &m)
  * One recorded traceRays + backwardRays accumulates the same model
  * gradients as the scalar oracle (compositeBackward + backwardPoint,
  * tests/ray_oracle.h), ray by ray (up to reassociation of the
- * cross-ray gradient sums).
+ * cross-ray gradient sums), under a full and a partial gate.
  */
 template <class PipelineT>
 void
-expectBackwardRaysMatchesPerRayBackward(const typename PipelineT::Config &cfg)
+expectBackwardRaysMatchesPerRayBackward(const typename PipelineT::Config &cfg,
+                                        Gate gate)
 {
+    SCOPED_TRACE(gate == Gate::full ? "full gate" : "sphere gate");
     PipelineT batched(cfg);
     PipelineT scalar(cfg); // same seed -> identical weights
+    applyGate(batched.grid(), gate);
+    applyGate(scalar.grid(), gate);
 
     std::vector<Ray> rays;
     for (int i = 0; i < 4; ++i)
@@ -207,9 +247,13 @@ expectBackwardRaysMatchesPerRayBackward(const typename PipelineT::Config &cfg)
 
     Pcg32 rng_a(9);
     std::vector<RayEval> evals(rays.size());
+    RayWorkload wl;
     batched.model().zeroGrads();
-    batched.traceRays(rays, rng_a, /*record=*/true, evals);
+    batched.traceRays(rays, rng_a, /*record=*/true, evals, &wl);
     batched.backwardRays(dcolors);
+    if (gate == Gate::sphere) {
+        EXPECT_TRUE(someRayGated(evals));
+    }
 
     Pcg32 rng_b(9);
     scalar.model().zeroGrads();
@@ -235,9 +279,12 @@ expectBackwardRaysMatchesPerRayBackward(const typename PipelineT::Config &cfg)
 
 TEST(Pipeline, BackwardRaysMatchesPerRayBackward)
 {
-    expectBackwardRaysMatchesPerRayBackward<NerfPipeline>(tinyPipeline());
-    expectBackwardRaysMatchesPerRayBackward<FreqPipeline>(tinyFreqPipeline());
-    expectBackwardRaysMatchesPerRayBackward<TensorfPipeline>(tinyTensorfPipeline());
+    for (const Gate gate : {Gate::full, Gate::sphere}) {
+        expectBackwardRaysMatchesPerRayBackward<NerfPipeline>(tinyPipeline(), gate);
+        expectBackwardRaysMatchesPerRayBackward<FreqPipeline>(tinyFreqPipeline(), gate);
+        expectBackwardRaysMatchesPerRayBackward<TensorfPipeline>(tinyTensorfPipeline(),
+                                                                 gate);
+    }
 }
 
 TEST(Pipeline, TrainingImprovesPsnr)

@@ -1,8 +1,8 @@
 /** @file Bit-exactness contracts of the SIMD dispatch layer: hardware
  *  kernels vs forced-scalar for the MLP GEMM, the hash-grid encode, and
  *  the whole-model forward; the packed fp16/INT8 inference path vs a
- *  dequantize-then-fp32 oracle; occupancy compaction vs the gated
- *  evaluator; and the quantized artifact round-trip. */
+ *  dequantize-then-fp32 oracle; and the quantized artifact
+ *  round-trip. */
 
 #include <cmath>
 #include <cstdlib>
@@ -16,7 +16,6 @@
 #include "common/simd.h"
 #include "nerf/mlp.h"
 #include "nerf/nerf_model.h"
-#include "nerf/pipeline.h"
 #include "nerf/serialize.h"
 
 namespace fusion3d::nerf
@@ -272,85 +271,6 @@ TEST(Simd, DropFp32WeightsKeepsQuantizedForward)
             EXPECT_EQ(rgb_s[j], rgb_k[j]);
         }
     }
-}
-
-PipelineConfig
-compactionPipeline(bool compaction)
-{
-    PipelineConfig pc;
-    pc.model = tinyModel();
-    pc.sampler.maxSamplesPerRay = 32;
-    pc.occupancyResolution = 24;
-    pc.occupancyCompaction = compaction;
-    return pc;
-}
-
-/**
- * Occupancy compaction is an exact optimization: with the same grid,
- * rays, and rng stream, the compacted evaluator composites bit-identical
- * colors to the gated path, evaluates strictly fewer samples than the
- * batch carries, and the recorded tape backpropagates bit-identical
- * parameter gradients.
- */
-TEST(Simd, CompactionBitIdenticalToGatedPath)
-{
-    NerfPipeline gated(compactionPipeline(false));
-    NerfPipeline compact(compactionPipeline(true));
-    ASSERT_TRUE(compact.occupancyCompaction());
-
-    // Identical partially-occupied grids: keep a sphere around the
-    // cube centre so a good fraction of candidates are prunable.
-    const auto keep = [](const Vec3f &p) {
-        const Vec3f d = p - Vec3f{0.5f, 0.5f, 0.5f};
-        return dot(d, d) < 0.09f;
-    };
-    gated.grid().maskRegion(keep);
-    compact.grid().maskRegion(keep);
-
-    std::vector<Ray> rays;
-    for (int i = 0; i < 8; ++i)
-        rays.emplace_back(Vec3f{0.15f + 0.1f * static_cast<float>(i), 0.4f, -1.0f},
-                          Vec3f{0.0f, 0.05f, 1.0f});
-
-    Pcg32 rng_a(71), rng_b(71);
-    std::vector<RayEval> ev_g(rays.size()), ev_c(rays.size());
-    gated.traceRays(rays, rng_a, /*record=*/true, ev_g);
-    compact.traceRays(rays, rng_b, /*record=*/true, ev_c);
-
-    for (std::size_t r = 0; r < rays.size(); ++r) {
-        EXPECT_EQ(ev_g[r].color, ev_c[r].color) << "ray " << r;
-        EXPECT_EQ(ev_g[r].samples, ev_c[r].samples) << "ray " << r;
-        EXPECT_EQ(floatBits(ev_g[r].transmittance),
-                  floatBits(ev_c[r].transmittance))
-            << "ray " << r;
-        EXPECT_EQ(floatBits(ev_g[r].firstHitT), floatBits(ev_c[r].firstHitT))
-            << "ray " << r;
-    }
-
-    const auto stats = compact.lastCompaction();
-    EXPECT_GT(stats.batchSamples, 0u);
-    EXPECT_GT(stats.mlpSamples, 0u);
-    EXPECT_LT(stats.mlpSamples, stats.batchSamples);
-
-    // Backward through both tapes accumulates identical gradients.
-    std::vector<Vec3f> dcolors(rays.size(), Vec3f{0.7f, -0.3f, 0.5f});
-    gated.backwardRays(dcolors);
-    compact.backwardRays(dcolors);
-    const auto grads = [](NerfModel &m) {
-        std::vector<float> g;
-        auto append = [&g](std::span<const float> s) {
-            g.insert(g.end(), s.begin(), s.end());
-        };
-        append(m.encoding().grads());
-        append(m.densityNet().grads());
-        append(m.colorNet().grads());
-        return g;
-    };
-    const std::vector<float> gg = grads(gated.model()),
-                             gc = grads(compact.model());
-    ASSERT_EQ(gg.size(), gc.size());
-    for (std::size_t i = 0; i < gg.size(); ++i)
-        EXPECT_EQ(floatBits(gg[i]), floatBits(gc[i])) << "grad " << i;
 }
 
 /**
