@@ -9,9 +9,10 @@
  *     hardware threads, 4 workers must deliver >= 2x the frame rate
  *     of 1 worker.
  *  2. Overload — tight deadlines and a deliberately undersized queue
- *     push the server down its degrade ladder (half-resolution, then
- *     warp reprojection) and into admission-control shedding. The run
- *     must terminate cleanly with nonzero degrade/shed counters.
+ *     push the server down its degrade ladder (half-resolution for
+ *     stateless frames, the warp of the session keyframe for a camera
+ *     stream) and into admission-control shedding. The run must
+ *     terminate cleanly with nonzero degrade/shed counters.
  *
  * A third mode replaces both phases with a *session trace*:
  *
@@ -76,6 +77,10 @@
  *                  prefix Prometheus metric names with P (default
  *                  "fusion3d_").
  *
+ * Every numeric flag and positional must parse whole and lie in range
+ * (at most 256 sessions or tenants, one client thread each); anything
+ * else prints the usage line and exits non-zero.
+ *
  * Besides the mode-specific "JSON:" line, every run prints one
  * "LATENCY_JSON:" line: p50/p99/p99.9 latency, per-outcome latency
  * quantiles, the worst request's id (feed it to f3d_trace --request),
@@ -84,7 +89,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -587,6 +595,51 @@ closedLoopFps(serve::RenderServer &server, int frames, int clients, int size)
     return static_cast<double>(frames) / seconds;
 }
 
+/** Cap on --sessions and --tenants: each is one client thread. */
+constexpr int kMaxClients = 256;
+
+[[noreturn]] void
+usage(const char *argv0)
+{
+    fatal("usage: %s [frames] [resolution] [--orbit] [--sessions N] "
+          "[--tensorf] "
+          "[--fleet N] [--zipf S] [--tenants T] [--budget M] "
+          "[--trace FILE] [--metrics FILE] [--faults SPEC] "
+          "[--slo TARGET_MS] [--flight-dump DIR] "
+          "[--metrics-prefix P]",
+          argv0);
+}
+
+/** All of @p text as an integer in [@p lo, @p hi]; anything else
+ *  (trailing junk, overflow, out of range) is a usage error. */
+int
+parseInt(const char *text, int lo, int hi, const char *argv0)
+{
+    const char *end = text + std::strlen(text);
+    int value = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+        warn("bad integer '%s' (expected %d..%d)", text, lo, hi);
+        usage(argv0);
+    }
+    return value;
+}
+
+/** All of @p text as a finite number in [@p lo, @p hi]. */
+double
+parseDouble(const char *text, double lo, double hi, const char *argv0)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value) || value < lo || value > hi) {
+        warn("bad number '%s' (expected %g..%g)", text, lo, hi);
+        usage(argv0);
+    }
+    return value;
+}
+
 } // namespace
 
 int
@@ -618,37 +671,31 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--tensorf") == 0) {
             tensorf = true;
         } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-            sessions = std::max(std::atoi(argv[++i]), 1);
+            sessions = parseInt(argv[++i], 1, kMaxClients, argv[0]);
         } else if (std::strcmp(argv[i], "--fleet") == 0 && i + 1 < argc) {
-            fleet_n = std::max(std::atoi(argv[++i]), 1);
+            fleet_n = parseInt(argv[++i], 1, 4096, argv[0]);
         } else if (std::strcmp(argv[i], "--zipf") == 0 && i + 1 < argc) {
-            zipf_s = std::atof(argv[++i]);
+            zipf_s = parseDouble(argv[++i], 0.0, 100.0, argv[0]);
         } else if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
-            tenants_n = std::max(std::atoi(argv[++i]), 1);
+            tenants_n = parseInt(argv[++i], 1, kMaxClients, argv[0]);
         } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-            budget_models = std::max(std::atoi(argv[++i]), 0);
+            budget_models = parseInt(argv[++i], 0, 4096, argv[0]);
         } else if (std::strcmp(argv[i], "--slo") == 0 && i + 1 < argc) {
-            g_slo_target_ms = std::atof(argv[++i]);
+            g_slo_target_ms = parseDouble(argv[++i], 1e-3, 1e9, argv[0]);
         } else if (std::strcmp(argv[i], "--flight-dump") == 0 &&
                    i + 1 < argc) {
             flight_dir = argv[++i];
         } else if (std::strcmp(argv[i], "--metrics-prefix") == 0 &&
                    i + 1 < argc) {
             obs::MetricsRegistry::global().setPrometheusPrefix(argv[++i]);
-        } else if (positional == 0) {
-            frames = std::max(std::atoi(argv[i]), 1);
+        } else if (argv[i][0] != '-' && positional == 0) {
+            frames = parseInt(argv[i], 1, 1000000, argv[0]);
             ++positional;
-        } else if (positional == 1) {
-            size = std::max(std::atoi(argv[i]), 8);
+        } else if (argv[i][0] != '-' && positional == 1) {
+            size = parseInt(argv[i], 8, 4096, argv[0]);
             ++positional;
         } else {
-            fatal("usage: %s [frames] [resolution] [--orbit] [--sessions N] "
-                  "[--tensorf] "
-                  "[--fleet N] [--zipf S] [--tenants T] [--budget M] "
-                  "[--trace FILE] [--metrics FILE] [--faults SPEC] "
-                  "[--slo TARGET_MS] [--flight-dump DIR] "
-                  "[--metrics-prefix P]",
-                  argv[0]);
+            usage(argv[0]);
         }
     }
 
@@ -761,24 +808,29 @@ main(int argc, char **argv)
     serve::RenderServer server(registry, sc);
 
     // Warm up: one unconstrained frame seeds the cost model and the
-    // warp cache.
+    // keyframe of the phase's camera stream.
+    const std::string stream = "overload";
     {
         serve::RenderRequest req;
         req.model = "demo";
         req.camera = orbitFrame(0, size);
+        req.session = stream;
         server.submit(req).get();
     }
     const double est_full = server.estimatedSecondsPerPixel() * size * size *
                             sc.estimateHeadroom;
 
     // Tight-deadline frames, submitted serially so the queue wait does
-    // not eat the budget: half the full-frame estimate forces the
-    // half-resolution step, a tenth forces warp reprojection (or a
-    // shed once even that is too slow).
+    // not eat the budget. Stateless frames get half the full-frame
+    // estimate, which forces the half-resolution step; stream frames
+    // get a tenth, which cannot afford re-rendering the tiles the warp
+    // of the keyframe misses, so they take the warp-degrade rung.
     for (int i = 1; i <= 8; ++i) {
         serve::RenderRequest req;
         req.model = "demo";
         req.camera = orbitFrame(i, size);
+        if (i % 2 == 0)
+            req.session = stream;
         const double budget = (i % 2 != 0) ? est_full * 0.5 : est_full * 0.1;
         req.deadline = serve::Clock::now() +
                        std::chrono::duration_cast<serve::Clock::duration>(

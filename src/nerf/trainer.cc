@@ -118,10 +118,10 @@ Trainer::trainIteration()
         field_.quantizeWeights();
     }
 
-    if (cfg_.checkpointEvery > 0 && ckpt_model_ &&
+    if (cfg_.checkpointEvery > 0 && save_checkpoint_ &&
         iter_ % cfg_.checkpointEvery == 0) {
         F3D_TRACE_SPAN("train", "checkpoint");
-        if (saveModelAtomic(*ckpt_model_, cfg_.checkpointPath)) {
+        if (save_checkpoint_(cfg_.checkpointPath)) {
             ++ckpts_written_;
         } else {
             // The previous checkpoint (if any) is still intact at

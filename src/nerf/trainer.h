@@ -11,6 +11,7 @@
 #define FUSION3D_NERF_TRAINER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "common/image.h"
 #include "nerf/dataset.h"
 #include "nerf/radiance_field.h"
+#include "nerf/serialize.h"
 
 namespace fusion3d
 {
@@ -26,8 +28,6 @@ class ThreadPool;
 
 namespace fusion3d::nerf
 {
-
-class NerfModel;
 
 /** Training-loop configuration. */
 struct TrainerConfig
@@ -115,10 +115,20 @@ class Trainer
      * Point periodic checkpointing (TrainerConfig::checkpointEvery) at
      * the model to serialize; the RadianceField interface is checkpoint-
      * agnostic, so the caller names the weights explicitly (e.g.
-     * &pipeline.model()). Pass nullptr to detach. @p model must outlive
-     * the trainer.
+     * &pipeline.model()). ModelT is any model saveModelAtomic() writes:
+     * NerfModel, FreqNerfModel or TensorfModel. A null @p model
+     * detaches. @p model must outlive the trainer.
      */
-    void setCheckpointModel(const NerfModel *model) { ckpt_model_ = model; }
+    template <class ModelT>
+    void
+    setCheckpointModel(const ModelT *model)
+    {
+        save_checkpoint_ = nullptr;
+        if (model)
+            save_checkpoint_ = [model](const std::string &path) {
+                return saveModelAtomic(*model, path);
+            };
+    }
 
     int iteration() const { return iter_; }
     std::uint64_t totalRays() const { return total_rays_; }
@@ -132,7 +142,8 @@ class Trainer
     const Dataset &data_;
     TrainerConfig cfg_;
     Pcg32 rng_;
-    const NerfModel *ckpt_model_ = nullptr;
+    /** Writes the checkpoint model to a path; empty when detached. */
+    std::function<bool(const std::string &)> save_checkpoint_;
     int iter_ = 0;
     std::uint64_t total_rays_ = 0;
     std::uint64_t total_samples_ = 0;

@@ -276,6 +276,10 @@ class ScopedSpan
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
+    /** Record the span as @p name (static storage) when it closes, for
+     *  work whose kind is only known once it ran. */
+    void rename(const char *name) { name_ = name; }
+
   private:
     const char *category_;
     const char *name_;

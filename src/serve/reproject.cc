@@ -74,7 +74,8 @@ ReprojectOutput
 reprojectRender(const nerf::ServeableField &model, const nerf::OccupancyGrid *grid,
                 const nerf::Camera &camera, const SessionFrame &prev,
                 const nerf::TiledRenderConfig &render_cfg,
-                const ReprojectConfig &cfg, ThreadPool *pool)
+                const ReprojectConfig &cfg, ThreadPool *pool,
+                std::uint64_t ray_budget)
 {
     F3D_TRACE_SPAN("serve", "reproject");
     ReprojectStats stats;
@@ -92,8 +93,10 @@ reprojectRender(const nerf::ServeableField &model, const nerf::OccupancyGrid *gr
     // guessing how old the reused pixels are.
     const int tiles_x = (camera.width() + cfg.tileSize - 1) / cfg.tileSize;
     const int tiles_y = (camera.height() + cfg.tileSize - 1) / cfg.tileSize;
-    if (prev.tileSize != cfg.tileSize ||
-        prev.tileAge.size() != static_cast<std::size_t>(tiles_x) * tiles_y)
+    const bool same_tiling =
+        prev.tileSize == cfg.tileSize &&
+        prev.tileAge.size() == static_cast<std::size_t>(tiles_x) * tiles_y;
+    if (!same_tiling && total_pixels <= ray_budget)
         return fullRender(model, grid, camera, render_cfg, cfg, pool, "shape",
                           stats);
 
@@ -111,14 +114,18 @@ reprojectRender(const nerf::ServeableField &model, const nerf::OccupancyGrid *gr
     stats.warpCoverage = warped.coverage;
     stats.tilesTotal = tiles.tiles();
 
-    // Classify: which tiles survive as warped pixels?
+    // Classify: which tiles survive as warped pixels? Under another
+    // tiling's age grid every tile counts as expired.
     std::vector<nerf::TileRect> invalid;
     std::vector<std::uint16_t> age(prev.tileAge.size(), 0);
+    std::uint64_t invalid_pixels = 0;
     for (int ty = 0; ty < tiles.tilesY; ++ty) {
         for (int tx = 0; tx < tiles.tilesX; ++tx) {
             const std::size_t t =
                 static_cast<std::size_t>(ty) * tiles.tilesX + tx;
-            const int next_age = static_cast<int>(prev.tileAge[t]) + 1;
+            const int next_age = same_tiling
+                                     ? static_cast<int>(prev.tileAge[t]) + 1
+                                     : cfg.maxTileAge;
             const bool valid = tiles.coverage[t] >= cfg.tileCoverageMin &&
                                tiles.conflict[t] <= cfg.tileConflictMax &&
                                next_age < cfg.maxTileAge;
@@ -132,6 +139,7 @@ reprojectRender(const nerf::ServeableField &model, const nerf::OccupancyGrid *gr
             rect.x1 = std::min(rect.x0 + cfg.tileSize, camera.width());
             rect.y1 = std::min(rect.y0 + cfg.tileSize, camera.height());
             invalid.push_back(rect);
+            invalid_pixels += rect.pixels();
         }
     }
     stats.tilesRerendered = static_cast<int>(invalid.size());
@@ -140,17 +148,49 @@ reprojectRender(const nerf::ServeableField &model, const nerf::OccupancyGrid *gr
         stats.tilesTotal
             ? 1.0 - static_cast<double>(invalid.size()) / stats.tilesTotal
             : 0.0;
-    if (valid_fraction < cfg.minValidFraction)
-        return fullRender(model, grid, camera, render_cfg, cfg, pool,
-                          "coverage", stats);
+    const char *fallback = !same_tiling ? "shape"
+                           : valid_fraction < cfg.minValidFraction ? "coverage"
+                                                                   : nullptr;
+    // A fallback would ray-march the whole frame. When the budget cannot
+    // afford what this frame would ray-march, the warp is served alone.
+    const bool warp_only =
+        (fallback ? total_pixels : invalid_pixels) > ray_budget;
+    if (fallback && !warp_only)
+        return fullRender(model, grid, camera, render_cfg, cfg, pool, fallback,
+                          stats);
 
-    // Patch the invalid tiles through the batched tile renderer. Any
-    // failure here (including the injected chaos fault) degrades to a
-    // full render: a served frame never contains a hole.
     ReprojectOutput out;
     out.frame.camera = camera;
     out.frame.color = std::move(warped.image);
     out.frame.depth = std::move(warped.depth);
+
+    // Holes survive where the warp is served alone, or where
+    // tileCoverageMin < 1 let a partly covered tile through; paint them
+    // background so the served frame is still complete. The tile pass
+    // below repaints every pixel of a re-rendered tile.
+    if (warp_only || cfg.tileCoverageMin < 1.0) {
+        std::size_t idx = 0;
+        for (int y = 0; y < camera.height(); ++y) {
+            for (int x = 0; x < camera.width(); ++x, ++idx) {
+                if (!warped.covered[idx]) {
+                    out.frame.color.at(x, y) = render_cfg.render.background;
+                    out.frame.depth[idx] = render_cfg.farDepth;
+                }
+            }
+        }
+    }
+    stats.reprojected = true;
+    if (warp_only) {
+        stats.warpOnly = true;
+        stats.tilesRerendered = 0;
+        stats.raysSaved = total_pixels;
+        out.stats = stats;
+        return out;
+    }
+
+    // Patch the invalid tiles through the batched tile renderer. Any
+    // failure here (including the injected chaos fault) degrades to a
+    // full render: a served frame never contains a hole.
     const auto t_render = SteadyClock::now();
     try {
         if (F3D_FAULT_POINT("serve.reproject.tiles"))
@@ -168,27 +208,6 @@ reprojectRender(const nerf::ServeableField &model, const nerf::OccupancyGrid *gr
                           "tile_fault", stats);
     }
     stats.renderSeconds = secondsSince(t_render);
-
-    // Holes can only exist when tileCoverageMin was lowered below 1;
-    // paint them background so the served frame is still complete.
-    if (cfg.tileCoverageMin < 1.0) {
-        std::size_t idx = 0;
-        for (int y = 0; y < camera.height(); ++y) {
-            for (int x = 0; x < camera.width(); ++x, ++idx) {
-                const std::size_t t =
-                    (static_cast<std::size_t>(y) / cfg.tileSize) * tiles.tilesX +
-                    (static_cast<std::size_t>(x) / cfg.tileSize);
-                if (age[t] == 0)
-                    continue; // re-rendered tile, fully painted
-                if (!warped.covered[idx]) {
-                    out.frame.color.at(x, y) = render_cfg.render.background;
-                    out.frame.depth[idx] = render_cfg.farDepth;
-                }
-            }
-        }
-    }
-
-    stats.reprojected = true;
     stats.raysSaved = total_pixels - stats.raysRendered;
     out.tileAge = std::move(age);
     out.stats = stats;

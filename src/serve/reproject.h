@@ -22,14 +22,16 @@
  * Valid tiles keep their warped pixels; invalid tiles are ray-marched
  * through the batched tile renderer and composited back. When too few
  * tiles survive (or a fault is injected into the tile pass — chaos
- * coverage), the frame degrades to a full render: reprojection may
- * only ever *save* work, never serve a hole.
+ * coverage), the frame degrades to a full render. When a caller's ray
+ * budget cannot afford the re-render, the warp is served alone: the
+ * serving layer's warp-degrade rung.
  */
 
 #ifndef FUSION3D_SERVE_REPROJECT_H_
 #define FUSION3D_SERVE_REPROJECT_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -71,6 +73,9 @@ struct ReprojectStats
     /** True when the frame was served by warp + partial re-render;
      *  false when it fell back to a full render. */
     bool reprojected = false;
+    /** True when the ray budget could not afford the re-render: the
+     *  frame is the warp alone, holes painted background. */
+    bool warpOnly = false;
     /** Why the fallback happened ("" when reprojected). */
     const char *fallback = "";
     int tilesTotal = 0;
@@ -91,7 +96,8 @@ struct ReprojectOutput
 {
     nerf::DepthFrame frame;
     /** Tile age grid to carry into the session store (0 where
-     *  re-rendered, previous age + 1 where warped). */
+     *  re-rendered, previous age + 1 where warped); empty for a
+     *  warp-only frame, which is never a session's keyframe. */
     std::vector<std::uint16_t> tileAge;
     ReprojectStats stats;
 };
@@ -114,15 +120,19 @@ std::vector<std::uint16_t> freshTileAges(const nerf::Camera &camera,
  * ray-marched pixel (and the whole frame on fallback) is bit-identical
  * to a full renderDepthFrameTiled() of the same configuration.
  *
+ * When more than @p ray_budget pixels would be ray-marched, the frame
+ * is the warp alone (ReprojectStats::warpOnly); without a budget the
+ * renderer never degrades below full fidelity.
+ *
  * The "serve.reproject.tiles" fault point (chaos testing) fails the
  * tile pass and exercises the full-render fallback.
  */
-ReprojectOutput reprojectRender(const nerf::ServeableField &model,
-                                const nerf::OccupancyGrid *grid,
-                                const nerf::Camera &camera,
-                                const SessionFrame &prev,
-                                const nerf::TiledRenderConfig &render_cfg,
-                                const ReprojectConfig &cfg, ThreadPool *pool);
+ReprojectOutput reprojectRender(
+    const nerf::ServeableField &model, const nerf::OccupancyGrid *grid,
+    const nerf::Camera &camera, const SessionFrame &prev,
+    const nerf::TiledRenderConfig &render_cfg, const ReprojectConfig &cfg,
+    ThreadPool *pool,
+    std::uint64_t ray_budget = std::numeric_limits<std::uint64_t>::max());
 
 } // namespace fusion3d::serve
 

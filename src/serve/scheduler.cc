@@ -45,6 +45,20 @@ secondsUntil(Clock::time_point deadline)
     return std::chrono::duration<double>(deadline - Clock::now()).count();
 }
 
+/** Pixels the ray-marcher can afford in @p seconds at @p cost_per_pixel
+ *  seconds each; unlimited with no deadline or no estimate yet. */
+std::uint64_t
+affordablePixels(double seconds, double cost_per_pixel)
+{
+    constexpr std::uint64_t unlimited = std::numeric_limits<std::uint64_t>::max();
+    if (cost_per_pixel <= 0.0)
+        return unlimited;
+    const double pixels = seconds / cost_per_pixel;
+    return pixels < static_cast<double>(unlimited)
+               ? static_cast<std::uint64_t>(pixels)
+               : unlimited;
+}
+
 /** Nearest-neighbour upsample of a degraded render back to the
  *  requested resolution, so clients always receive w x h frames. */
 Image
@@ -319,15 +333,20 @@ RenderServer::runLadder(QueuedRequest &qr, const ModelEntry *entry)
         return response;
     }
 
-    // Accelerate rung, above the degrade ladder: a session request
-    // whose previous frame is still valid (same model, same deploy
-    // epoch, within TTL) is served by temporal reprojection — warp the
-    // cached frame, ray-march only the invalidated tiles.
-    if (tryReproject(qr, entry, response))
+    // The cost estimate every rung is judged by: measured seconds per
+    // ray-marched pixel times the safety headroom (0 until the first
+    // frame completes).
+    const double cost_per_pixel =
+        estimatedSecondsPerPixel() * cfg_.estimateHeadroom;
+
+    // A session hit is served by temporal reprojection: warp the
+    // session's keyframe, ray-march only the invalidated tiles, or
+    // serve the warp alone when the deadline cannot afford them.
+    if (tryReproject(qr, entry, affordablePixels(budget, cost_per_pixel),
+                     response))
         return response;
 
-    const double est_full = estimatedSecondsPerPixel() *
-                            static_cast<double>(pixels) * cfg_.estimateHeadroom;
+    const double est_full = cost_per_pixel * static_cast<double>(pixels);
 
     // Every render below hands this request's rays to the batched SoA
     // evaluation core (tiles submit ray batches through
@@ -337,8 +356,7 @@ RenderServer::runLadder(QueuedRequest &qr, const ModelEntry *entry)
 
     const auto t0 = Clock::now();
     if (est_full <= budget) {
-        // Full-resolution render; this frame also refreshes the
-        // model's warp source.
+        // Full-resolution render; on a session it becomes the keyframe.
         F3D_TRACE_SPAN_ARG("serve", "render_full", qr.id);
         nerf::DepthFrame frame = nerf::renderDepthFrameTiled(
             *entry->model, &entry->grid, camera, cfg_.render, &pool_);
@@ -347,7 +365,10 @@ RenderServer::runLadder(QueuedRequest &qr, const ModelEntry *entry)
         stats_.recordRaysMarched(pixels);
         response.image = frame.color;
         response.outcome = Outcome::renderedFull;
-        rememberFullFrame(qr, entry, std::move(frame));
+        if (!qr.request.session.empty())
+            storeKeyframe(qr.request.session, entry, std::move(frame),
+                          freshTileAges(camera, cfg_.reproject.tileSize,
+                                        cfg_.reproject.maxTileAge));
         return response;
     }
 
@@ -364,26 +385,6 @@ RenderServer::runLadder(QueuedRequest &qr, const ModelEntry *entry)
                                  half.height());
         response.image = upsample(small, camera.width(), camera.height());
         response.outcome = Outcome::renderedHalf;
-        return response;
-    }
-
-    if (const auto prev = cachedFrame(entry)) {
-        // Degrade step 2: reproject the model's last rendered frame
-        // (frame reuse a la MetaVRain); uncovered pixels keep the
-        // background colour rather than costing a re-render. A frame
-        // of a replaced model version is never warped.
-        F3D_TRACE_SPAN_ARG("serve", "render_warp", qr.id);
-        nerf::WarpResult warped = nerf::forwardWarp(*prev, camera);
-        for (int y = 0; y < camera.height(); ++y) {
-            for (int x = 0; x < camera.width(); ++x) {
-                const std::size_t idx =
-                    static_cast<std::size_t>(y) * camera.width() + x;
-                if (!warped.covered[idx])
-                    warped.image.at(x, y) = cfg_.render.render.background;
-            }
-        }
-        response.image = std::move(warped.image);
-        response.outcome = Outcome::renderedWarp;
         return response;
     }
 
@@ -452,7 +453,7 @@ RenderServer::estimatedSecondsPerPixel() const
 
 bool
 RenderServer::tryReproject(QueuedRequest &qr, const ModelEntry *entry,
-                           RenderResponse &response)
+                           std::uint64_t ray_budget, RenderResponse &response)
 {
     if (qr.request.session.empty())
         return false;
@@ -461,10 +462,14 @@ RenderServer::tryReproject(QueuedRequest &qr, const ModelEntry *entry,
     if (!prev)
         return false;
 
-    F3D_TRACE_SPAN_ARG("serve", "render_reproject", qr.id);
+    // Named for the rung that served the frame, known once the tiles
+    // are classified.
+    obs::ScopedSpan span("serve", "render_reproject", qr.id);
     ReprojectOutput out =
         reprojectRender(*entry->model, &entry->grid, qr.request.camera, *prev,
-                        cfg_.render, cfg_.reproject, &pool_);
+                        cfg_.render, cfg_.reproject, &pool_, ray_budget);
+    if (out.stats.warpOnly)
+        span.rename("render_warp");
     // Feed the cost model with the pixels that were actually marched —
     // the estimate stays in per-ray-marched-pixel units either way.
     if (out.stats.raysRendered > 0 && out.stats.renderSeconds > 0.0)
@@ -472,61 +477,29 @@ RenderServer::tryReproject(QueuedRequest &qr, const ModelEntry *entry,
     stats_.recordReproject(out.stats);
 
     response.image = out.frame.color;
-    response.outcome = out.stats.reprojected ? Outcome::renderedReproject
-                                             : Outcome::renderedFull;
-
-    auto shared = std::make_shared<const nerf::DepthFrame>(std::move(out.frame));
-    SessionFrame sf;
-    sf.frame = shared;
-    sf.model = entry->name;
-    sf.epoch = entry->epoch;
-    sf.tileSize = cfg_.reproject.tileSize;
-    sf.tileAge = std::move(out.tileAge);
-    sessions_.put(qr.request.session, std::move(sf));
-    if (!out.stats.reprojected) {
-        // The fallback was a true full render: refresh the model-level
-        // warp-degrade source too.
-        cacheFrame(entry, std::move(shared));
-    }
+    response.outcome = out.stats.warpOnly      ? Outcome::renderedWarp
+                       : out.stats.reprojected ? Outcome::renderedReproject
+                                               : Outcome::renderedFull;
+    // A warp served alone never becomes the keyframe, so no frame is a
+    // warp of a warp.
+    if (!out.stats.warpOnly)
+        storeKeyframe(qr.request.session, entry, std::move(out.frame),
+                      std::move(out.tileAge));
     return true;
 }
 
 void
-RenderServer::rememberFullFrame(const QueuedRequest &qr, const ModelEntry *entry,
-                                nerf::DepthFrame &&frame)
+RenderServer::storeKeyframe(const std::string &session, const ModelEntry *entry,
+                            nerf::DepthFrame &&frame,
+                            std::vector<std::uint16_t> &&tile_age)
 {
-    auto shared = std::make_shared<const nerf::DepthFrame>(std::move(frame));
-    if (!qr.request.session.empty()) {
-        // Seed the session cache: the next request on this stream can
-        // reproject instead of full-rendering.
-        SessionFrame sf;
-        sf.frame = shared;
-        sf.model = entry->name;
-        sf.epoch = entry->epoch;
-        sf.tileSize = cfg_.reproject.tileSize;
-        sf.tileAge = freshTileAges(qr.request.camera, cfg_.reproject.tileSize,
-                                   cfg_.reproject.maxTileAge);
-        sessions_.put(qr.request.session, std::move(sf));
-    }
-    cacheFrame(entry, std::move(shared));
-}
-
-void
-RenderServer::cacheFrame(const ModelEntry *entry,
-                         std::shared_ptr<const nerf::DepthFrame> frame)
-{
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    last_frames_[entry->name] = CachedFrame{std::move(frame), entry->epoch};
-}
-
-std::shared_ptr<const nerf::DepthFrame>
-RenderServer::cachedFrame(const ModelEntry *entry) const
-{
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = last_frames_.find(entry->name);
-    if (it == last_frames_.end() || it->second.epoch != entry->epoch)
-        return nullptr;
-    return it->second.frame;
+    SessionFrame sf;
+    sf.frame = std::make_shared<const nerf::DepthFrame>(std::move(frame));
+    sf.model = entry->name;
+    sf.epoch = entry->epoch;
+    sf.tileSize = cfg_.reproject.tileSize;
+    sf.tileAge = std::move(tile_age);
+    sessions_.put(session, std::move(sf));
 }
 
 void

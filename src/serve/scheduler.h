@@ -14,18 +14,21 @@
  *  3. Each request runs as a pool task that splits its frame into
  *     row-tiles on the same pool — idle workers help finish a
  *     neighbour's frame, so a single big frame still uses all cores.
- *  4. At render start the scheduler first tries the *accelerate* rung:
- *     a request carrying a session id whose previous frame is cached
- *     (same model, same deploy epoch, within TTL) is served by temporal
- *     reprojection — the cached frame is warped into the requested view
- *     and only the invalidated tiles are ray-marched (serve/reproject).
- *     Otherwise it compares the time left until the deadline with an
- *     online cost estimate (EWMA of measured per-pixel seconds) and
- *     walks the degrade ladder:
- *       full render → half-resolution render (upsampled) → reprojection
- *     of the model's last frame via image_warp (only a frame of the
- *     same deploy epoch) → shed (Outcome::rejectedDeadline). Expired
- *     deadlines shed outright.
+ *  4. At render start the scheduler turns the time left until the
+ *     deadline into a pixel budget with an online cost estimate (EWMA
+ *     of measured per-pixel seconds, times estimateHeadroom; unlimited
+ *     with no deadline or no estimate yet). A request carrying a
+ *     session id whose keyframe is cached (same model, same deploy
+ *     epoch, within TTL) is served by temporal reprojection: the
+ *     keyframe is warped into the requested view and only the
+ *     invalidated tiles are ray-marched (serve/reproject). When the
+ *     budget cannot afford that re-render, the warp is served alone
+ *     (Outcome::renderedWarp) and the keyframe is left as it was.
+ *     Stateless requests and session misses walk the degrade ladder:
+ *       full render → half-resolution render (upsampled) → shed
+ *     (Outcome::rejectedDeadline). Expired deadlines shed outright.
+ *     The SessionStore is the server's only frame cache, so a request
+ *     is never served another client's frame.
  *
  * Every outcome is counted in ServerStats; drain() blocks until all
  * admitted requests completed, so the stats block is consistent when
@@ -39,11 +42,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "nerf/image_warp.h"
@@ -104,7 +108,8 @@ class RenderServer
     const ServerStats &stats() const { return stats_; }
     /** SLO watchdog; null unless cfg.slo.enabled. */
     const obs::SloMonitor *slo() const { return slo_.get(); }
-    /** The per-session frame cache behind temporal reprojection. */
+    /** The server's only frame cache: per-session keyframes behind
+     *  temporal reprojection and the warp-degrade rung. */
     const SessionStore &sessions() const { return sessions_; }
     std::size_t queueDepth() const { return queue_.depth(); }
 
@@ -121,20 +126,14 @@ class RenderServer
     RenderResponse runLadder(QueuedRequest &qr, const ModelEntry *entry);
     void finish(QueuedRequest &qr, RenderResponse &&response);
     void noteRenderCost(double seconds, std::uint64_t pixels);
-    /** Make @p frame, rendered by @p entry, its model's warp source. */
-    void cacheFrame(const ModelEntry *entry,
-                    std::shared_ptr<const nerf::DepthFrame> frame);
-    /** The warp source of @p entry's model, or null when there is none
-     *  or it was rendered at another deploy epoch (a hot-swap or an
-     *  eviction since). */
-    std::shared_ptr<const nerf::DepthFrame> cachedFrame(const ModelEntry *entry) const;
-    /** Try the accelerate rung; true when @p response was produced. */
+    /** Serve a session hit by reprojection, ray-marching at most
+     *  @p ray_budget pixels; true when @p response was produced. */
     bool tryReproject(QueuedRequest &qr, const ModelEntry *entry,
-                      RenderResponse &response);
-    /** Cache @p frame for both the warp-degrade rung and (when the
-     *  request carries a session id) the session store. */
-    void rememberFullFrame(const QueuedRequest &qr, const ModelEntry *entry,
-                           nerf::DepthFrame &&frame);
+                      std::uint64_t ray_budget, RenderResponse &response);
+    /** Make @p frame, rendered by @p entry, @p session's keyframe. */
+    void storeKeyframe(const std::string &session, const ModelEntry *entry,
+                       nerf::DepthFrame &&frame,
+                       std::vector<std::uint16_t> &&tile_age);
 
     ModelRegistry &registry_;
     ServeConfig cfg_;
@@ -160,16 +159,6 @@ class RenderServer
     // Online cost model: EWMA of seconds per rendered pixel.
     mutable std::mutex estimate_mutex_;
     double est_seconds_per_pixel_ = 0.0;
-
-    // Last full-resolution frame per model, the warp-degrade source,
-    // with the deploy epoch of the model version that rendered it.
-    struct CachedFrame
-    {
-        std::shared_ptr<const nerf::DepthFrame> frame;
-        std::uint64_t epoch = 0;
-    };
-    mutable std::mutex cache_mutex_;
-    std::map<std::string, CachedFrame> last_frames_;
 
     std::thread dispatcher_;
 };

@@ -37,8 +37,10 @@ enum class Outcome
     renderedFull,
     /** Degrade step 1: rendered at half resolution, upsampled. */
     renderedHalf,
-    /** Degrade step 2: reprojected from the model's last rendered
-     *  frame via the image-warp path (frame reuse a la MetaVRain). */
+    /** Degrade step of a session hit: the session's keyframe warped
+     *  into the view and served alone, holes painted background (frame
+     *  reuse a la MetaVRain); the deadline could not afford the
+     *  re-render. It never becomes the keyframe. */
     renderedWarp,
     /** Accelerate rung: the session's previous frame was warped into
      *  the requested view and only the invalidated tiles were

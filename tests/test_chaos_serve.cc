@@ -3,7 +3,8 @@
  * Chaos tests of the hardened serving path, driven by the fault
  * injector: deploy retries with backoff, the per-model circuit breaker
  * (trip, fast-reject, half-open recovery), worker exceptions as
- * terminal outcomes, a mixed slow/throw chaos run where every submitted
+ * terminal outcomes, a mixed slow/throw chaos run (stateless and
+ * session requests, some under tight deadlines) where every submitted
  * request must still reach a terminal outcome (replayable per seed),
  * and stop() shedding the queued backlog instead of stranding waiters.
  * Expected to pass under -DFUSION3D_SANITIZE=thread.
@@ -223,6 +224,18 @@ TEST_F(ChaosServeTest, ChaosMixEveryRequestTerminatesReplayably)
             req.camera = testCamera();
             if (i % 4 == 3) // every 4th request races a tight deadline
                 req.deadline = Clock::now() + std::chrono::milliseconds(3);
+            if (i == 0 || i % 8 == 7) {
+                // A moving camera stream: its unconstrained first frame
+                // jumps the queue and seeds the keyframe; half of the
+                // tight-deadline requests follow it, and a session hit
+                // whose re-render the deadline cannot afford is served
+                // by the warp-degrade rung.
+                req.session = "viewer";
+                req.priority = i == 0 ? 1 : 0;
+                req.camera = nerf::Camera::orbit({0.5f, 0.5f, 0.5f}, 1.4f,
+                                                 35.0f + i, 20.0f, 45.0f, 16,
+                                                 16);
+            }
             futures.push_back(server.submit(req));
         }
 

@@ -333,6 +333,60 @@ TEST_F(ReprojectRenderTest, ShapeMismatchFallsBackToFullRender)
     expectImagesIdentical(out.frame.color, fullRender(cam).color);
 }
 
+TEST_F(ReprojectRenderTest, UnaffordableRerenderServesWarpAlone)
+{
+    const int size = 64;
+    const std::uint64_t pixels = static_cast<std::uint64_t>(size) * size;
+    const nerf::DepthFrame seed = fullRender(orbitCamera(35.0f, size));
+    const nerf::Camera cam = orbitCamera(40.0f, size);
+    nerf::WarpOptions wopt;
+    wopt.depthTolerance = cfg_.depthTolerance;
+    const nerf::WarpResult warped = nerf::forwardWarp(seed, cam, wopt);
+    ASSERT_LT(warped.coverage, 1.0);
+
+    // Inputs: invalid tiles the budget cannot afford, and an age grid
+    // of another tiling, whose full-render fallback it cannot afford.
+    struct Case
+    {
+        const char *name;
+        std::vector<std::uint16_t> ages;
+        int tileSize;
+        std::uint64_t budget;
+    };
+    const Case cases[] = {
+        {"tiles", freshTileAges(cam, cfg_.tileSize, cfg_.maxTileAge),
+         cfg_.tileSize, 0},
+        {"shape", std::vector<std::uint16_t>(4, 0), 32, pixels - 1},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        ReprojectOutput out = reprojectRender(
+            *entry_->model, &entry_->grid, cam,
+            sessionFrameOf(seed, c.ages, c.tileSize), rc_, cfg_, nullptr,
+            c.budget);
+        EXPECT_TRUE(out.stats.reprojected);
+        EXPECT_TRUE(out.stats.warpOnly);
+        EXPECT_EQ(out.stats.raysRendered, 0u);
+        EXPECT_EQ(out.stats.raysSaved, pixels);
+        EXPECT_TRUE(out.tileAge.empty());
+
+        // The frame is the warp, uncovered pixels painted background.
+        for (int y = 0, idx = 0; y < size; ++y) {
+            for (int x = 0; x < size; ++x, ++idx) {
+                const bool hole = !warped.covered[idx];
+                const Vec3f want =
+                    hole ? rc_.render.background : warped.image.at(x, y);
+                const Vec3f got = out.frame.color.at(x, y);
+                ASSERT_EQ(got.x, want.x) << "(" << x << "," << y << ")";
+                ASSERT_EQ(got.y, want.y);
+                ASSERT_EQ(got.z, want.z);
+                ASSERT_EQ(out.frame.depth[idx],
+                          hole ? rc_.farDepth : warped.depth[idx]);
+            }
+        }
+    }
+}
+
 TEST_F(ReprojectRenderTest, ChaosTileFaultDegradesToFullRenderNotHoles)
 {
     const int size = 64;
@@ -446,12 +500,13 @@ class ReprojectServerTest : public ::testing::Test
 
     RenderResponse
     ask(RenderServer &server, float azim, const std::string &session,
-        int size = 64)
+        int size = 64, Clock::time_point deadline = Clock::time_point::max())
     {
         RenderRequest req;
         req.model = "m";
         req.camera = orbitCamera(azim, size);
         req.session = session;
+        req.deadline = deadline;
         return server.submit(req).get();
     }
 
@@ -524,6 +579,37 @@ TEST_F(ReprojectServerTest, HotSwapInvalidatesSessionsViaEpoch)
 
     // The stream recovers: the re-seeded session reprojects again.
     EXPECT_EQ(ask(server, 36.5f, "s").outcome, Outcome::renderedReproject);
+}
+
+TEST_F(ReprojectServerTest, WarpOnlyFrameLeavesKeyframeUnchanged)
+{
+    // Once the first frame sets the cost estimate, no finite deadline
+    // affords a ray-marched pixel.
+    sc_.estimateHeadroom = 1e12;
+    RenderServer server(*registry_, sc_);
+    const ModelEntry *entry = registry_->find("m");
+    EXPECT_EQ(ask(server, 35.0f, "s").outcome, Outcome::renderedFull);
+    EXPECT_EQ(ask(server, 35.5f, "s", 64,
+                  Clock::now() + std::chrono::seconds(60))
+                  .outcome,
+              Outcome::renderedWarp);
+
+    // The warp-only frame did not replace the keyframe: the next
+    // unconstrained frame reprojects the last *rendered* frame.
+    const RenderResponse next = ask(server, 36.0f, "s");
+    EXPECT_EQ(next.outcome, Outcome::renderedReproject);
+    const nerf::Camera cam = orbitCamera(36.0f, 64);
+    const ReprojectOutput expected = reprojectRender(
+        *entry->model, &entry->grid, cam,
+        sessionFrameOf(nerf::renderDepthFrameTiled(*entry->model, &entry->grid,
+                                                   orbitCamera(35.0f, 64),
+                                                   sc_.render, nullptr),
+                       freshTileAges(cam, sc_.reproject.tileSize,
+                                     sc_.reproject.maxTileAge),
+                       sc_.reproject.tileSize),
+        sc_.render, sc_.reproject, nullptr);
+    ASSERT_TRUE(expected.stats.reprojected);
+    expectImagesIdentical(next.image, expected.frame.color);
 }
 
 TEST_F(ReprojectServerTest, ChaosTileFaultServesFullFrameThroughServer)

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "nerf/tensorf.h"
 #include "nerf/trainer.h"
 #include "serve/model_registry.h"
+#include "serve/reproject.h"
 #include "serve/scheduler.h"
 
 namespace fusion3d::serve
@@ -261,8 +263,9 @@ TEST(RenderServer, ExpiredDeadlineIsShedNotBlocked)
 }
 
 /** A server whose cost estimate, once the first frame has set it,
- *  rules out the full and half-resolution rungs for any finite
- *  deadline, so later requests reach the warp-degrade rung. */
+ *  affords no ray-marched pixel before any finite deadline: stateless
+ *  requests and session misses are shed, and session hits reach the
+ *  warp-degrade rung. */
 ServeConfig
 warpRungConfig()
 {
@@ -274,13 +277,15 @@ warpRungConfig()
 }
 
 RenderRequest
-deadlineRequest(const std::string &model, float azim)
+deadlineRequest(const std::string &model, float azim,
+                const std::string &session = "")
 {
     RenderRequest req;
     req.model = model;
     req.camera = nerf::Camera::orbit({0.5f, 0.5f, 0.5f}, 1.4f, azim, 20.0f, 45.0f,
                                      32, 32);
     req.deadline = Clock::now() + std::chrono::seconds(60);
+    req.session = session;
     return req;
 }
 
@@ -291,12 +296,13 @@ TEST(RenderServer, WarpRungServesSameEpochFrame)
     RenderServer server(registry, warpRungConfig());
 
     // No estimate yet: the first frame renders full and becomes the
-    // model's warp source.
-    EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f)).get().outcome,
+    // session's keyframe.
+    EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f, "viewer")).get().outcome,
               Outcome::renderedFull);
     ASSERT_GT(server.estimatedSecondsPerPixel(), 0.0);
 
-    const RenderResponse warped = server.submit(deadlineRequest("m", 36.0f)).get();
+    const RenderResponse warped =
+        server.submit(deadlineRequest("m", 36.0f, "viewer")).get();
     EXPECT_EQ(warped.outcome, Outcome::renderedWarp);
     EXPECT_EQ(warped.image.width(), 32);
     EXPECT_EQ(warped.image.height(), 32);
@@ -309,7 +315,7 @@ TEST(RenderServer, WarpRungNeverServesReplacedModel)
     ModelRegistry registry(8);
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
     RenderServer server(registry, warpRungConfig());
-    EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f)).get().outcome,
+    EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f, "viewer")).get().outcome,
               Outcome::renderedFull);
 
     // Hot-swap: the cached frame shows the replaced model. With no
@@ -317,11 +323,73 @@ TEST(RenderServer, WarpRungNeverServesReplacedModel)
     // served from the old model's frame.
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 99));
     ASSERT_EQ(registry.epoch("m"), 2u);
+    const RenderResponse after =
+        server.submit(deadlineRequest("m", 36.0f, "viewer")).get();
+    EXPECT_EQ(after.outcome, Outcome::rejectedDeadline);
+    EXPECT_TRUE(after.image.empty());
+    server.shutdown();
+    EXPECT_EQ(server.stats().count(Outcome::renderedWarp), 0u);
+}
+
+TEST(RenderServer, WarpRungNeverServesStatelessRequest)
+{
+    ModelRegistry registry(8);
+    registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
+    RenderServer server(registry, warpRungConfig());
+    EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f)).get().outcome,
+              Outcome::renderedFull);
+
+    // A stateless request has no keyframe of its own; a frame rendered
+    // for another request of the same model is never warped into it.
     const RenderResponse after = server.submit(deadlineRequest("m", 36.0f)).get();
     EXPECT_EQ(after.outcome, Outcome::rejectedDeadline);
     EXPECT_TRUE(after.image.empty());
     server.shutdown();
     EXPECT_EQ(server.stats().count(Outcome::renderedWarp), 0u);
+}
+
+TEST(RenderServer, WarpRungServesUnaffordableFallbackAsWarp)
+{
+    ModelRegistry registry(8);
+    registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
+    const ModelEntry *entry = registry.find("m");
+    const ServeConfig sc = warpRungConfig();
+    RenderServer server(registry, sc);
+    EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f, "viewer")).get().outcome,
+              Outcome::renderedFull);
+
+    // A 90 degree turn leaves too few tiles to reproject: without a
+    // deadline this frame would fall back to a full render.
+    const RenderRequest req = deadlineRequest("m", 125.0f, "viewer");
+    const nerf::DepthFrame keyframe = nerf::renderDepthFrameTiled(
+        *entry->model, &entry->grid, testCamera(), sc.render, nullptr);
+    SessionFrame prev;
+    prev.frame = std::make_shared<const nerf::DepthFrame>(keyframe);
+    prev.tileSize = sc.reproject.tileSize;
+    prev.tileAge = freshTileAges(req.camera, sc.reproject.tileSize,
+                                 sc.reproject.maxTileAge);
+    const ReprojectOutput unconstrained =
+        reprojectRender(*entry->model, &entry->grid, req.camera, prev,
+                        sc.render, sc.reproject, nullptr);
+    ASSERT_FALSE(unconstrained.stats.reprojected);
+    ASSERT_STREQ(unconstrained.stats.fallback, "coverage");
+
+    // The deadline cannot afford that render, so the keyframe's warp is
+    // served alone at full resolution, holes painted background.
+    const RenderResponse warped = server.submit(req).get();
+    EXPECT_EQ(warped.outcome, Outcome::renderedWarp);
+    nerf::WarpOptions wopt;
+    wopt.depthTolerance = sc.reproject.depthTolerance;
+    nerf::WarpResult expected = nerf::forwardWarp(keyframe, req.camera, wopt);
+    ASSERT_LT(expected.coverage, 1.0);
+    for (int y = 0; y < 32; ++y)
+        for (int x = 0; x < 32; ++x)
+            if (!expected.covered[static_cast<std::size_t>(y) * 32 + x])
+                expected.image.at(x, y) = sc.render.render.background;
+    expectImagesIdentical(warped.image, expected.image);
+    server.shutdown();
+    EXPECT_EQ(server.stats().count(Outcome::renderedWarp), 1u);
+    EXPECT_EQ(server.stats().count(Outcome::renderedFull), 1u);
 }
 
 TEST(RenderServer, OverloadShedsAtAdmissionAndDrainsClean)

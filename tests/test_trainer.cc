@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "nerf/freq_nerf.h"
 #include "nerf/pipeline.h"
 #include "nerf/serialize.h"
+#include "nerf/tensorf.h"
 #include "nerf/trainer.h"
 #include "scenes/dataset_gen.h"
 #include "scenes/factory.h"
@@ -145,15 +147,19 @@ TEST(Trainer, EmptyDatasetIsFatal)
     EXPECT_DEATH({ Trainer t(pipe, empty, TrainerConfig{}); }, "no training views");
 }
 
-TEST(Trainer, CheckpointScheduleWritesLoadableArtifacts)
+/** Train @p pipe for 4 iterations with a checkpoint every 2, then
+ *  reload the artifact and check it is @p pipe's model. */
+template <class PipelineT>
+void
+expectCheckpointsReload(PipelineT &pipe, BackendKind kind)
 {
     const Dataset data = tinyDataset();
-    NerfPipeline pipe(tinyPipeline());
     TrainerConfig tc;
     tc.iterations = 4;
     tc.raysPerBatch = 4;
     tc.checkpointEvery = 2;
-    tc.checkpointPath = testing::TempDir() + "trainer_ckpt.f3dm";
+    tc.checkpointPath = testing::TempDir() + "trainer_ckpt_" +
+                        backendKindName(kind) + ".f3dm";
     Trainer trainer(pipe, data, tc);
     trainer.setCheckpointModel(&pipe.model());
     trainer.run();
@@ -163,7 +169,44 @@ TEST(Trainer, CheckpointScheduleWritesLoadableArtifacts)
     EXPECT_EQ(trainer.checkpointsFailed(), 0u);
     const LoadResult r = loadFieldVerbose(tc.checkpointPath);
     ASSERT_EQ(r.status, LoadStatus::ok) << r.message;
+    EXPECT_EQ(r.field->kind(), kind);
     EXPECT_EQ(r.field->paramCount(), pipe.model().paramCount());
+}
+
+TEST(Trainer, CheckpointScheduleWritesLoadableArtifacts)
+{
+    {
+        SCOPED_TRACE("hash grid");
+        NerfPipeline pipe(tinyPipeline());
+        expectCheckpointsReload(pipe, BackendKind::hashGrid);
+    }
+    {
+        SCOPED_TRACE("FreqNeRF");
+        FreqPipelineConfig fc;
+        fc.model.posFrequencies = 4;
+        fc.model.hidden = 16;
+        fc.model.trunkLayers = 2;
+        fc.model.geoFeatures = 7;
+        fc.model.colorHidden = 16;
+        fc.model.shDegree = 2;
+        fc.sampler.maxSamplesPerRay = 16;
+        fc.occupancyResolution = 12;
+        FreqPipeline pipe(fc);
+        expectCheckpointsReload(pipe, BackendKind::freqNerf);
+    }
+    {
+        SCOPED_TRACE("TensoRF");
+        TensorfPipelineConfig tc;
+        tc.model.densityRank = 6;
+        tc.model.appearanceRank = 8;
+        tc.model.lineResolution = 48;
+        tc.model.appearanceDim = 8;
+        tc.model.colorHidden = 16;
+        tc.sampler.maxSamplesPerRay = 16;
+        tc.occupancyResolution = 12;
+        TensorfPipeline pipe(tc);
+        expectCheckpointsReload(pipe, BackendKind::tensorf);
+    }
 }
 
 TEST(Trainer, DeterministicWithSameSeed)
