@@ -1,17 +1,18 @@
 /**
  * @file
- * The Stage I/III machinery of PointPipeline, for every backend: CSR
- * SampleBatch build through the occupancy gate (rng consumed per ray,
- * so jitter streams are batch-size invariant), batched compositing over
- * per-ray CSR ranges (pool-parallel with a fixed grain), and the
- * recompute-in-backward composite tape. The model evaluation itself is
- * injected as a functor, which PointPipeline routes through its shard
- * engine.
+ * The one Stage I -> III driver of training and rendering: CSR
+ * SampleBatch build through the occupancy gate (each ray draws jitter
+ * from the stream its caller names), one injected batched forward
+ * (PointPipeline's shard engine, or the tiled renderer's
+ * ServeableField::evalBatch), one composite pass per CSR range that
+ * returns color and, when asked, depth, and the recompute-in-backward
+ * composite tape.
  */
 
 #ifndef FUSION3D_NERF_BATCH_EVALUATOR_H_
 #define FUSION3D_NERF_BATCH_EVALUATOR_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -44,9 +45,7 @@ class RayBatchEvaluator
   public:
     explicit RayBatchEvaluator(const char *owner) : owner_(owner) {}
 
-    bool tapeValid() const { return tape_valid_; }
     void invalidateTape() { tape_valid_ = false; }
-    const SampleBatch &tapeBatch() const { return tape_batch_; }
 
     /**
      * Batch-native traceRays: Stage I samples every ray, in order,
@@ -58,15 +57,19 @@ class RayBatchEvaluator
      * rays touch disjoint ranges. record=true keeps the batch as the
      * tape for backwardRays().
      *
+     * @param rng_for Pcg32 &(std::size_t ray), called once per ray in
+     *                order: the stream that ray's jitter draws from.
+     * @param t_far   When set, RayEval::depth gets each ray's depth.
      * @param forward void(SampleBatch &batch): the backend's batched
      *                model evaluation over the flattened samples.
      */
-    template <class ForwardFn>
+    template <class RngFn, class ForwardFn>
     void
     traceRays(const RaySampler &sampler, const OccupancyGrid *grid,
-              const RenderParams &render, std::span<const Ray> rays, Pcg32 &rng,
-              bool record, std::span<RayEval> out, RayWorkload *workload,
-              ThreadPool *pool, ForwardFn &&forward)
+              const RenderParams &render, std::span<const Ray> rays,
+              RngFn &&rng_for, bool record, std::span<RayEval> out,
+              RayWorkload *workload, ThreadPool *pool, std::optional<float> t_far,
+              ForwardFn &&forward)
     {
         if (out.size() < rays.size())
             panic("%s::traceRays: output span too small (%zu < %zu)", owner_,
@@ -83,10 +86,10 @@ class RayBatchEvaluator
         batch.clear();
 
         // Stage I: sample every ray, in order, into one flat SoA batch.
-        // The rng is consumed per ray exactly as the scalar loop did,
-        // so jitter streams are batch-size invariant.
+        // Each ray consumes its own stream exactly as a one-ray trace
+        // would, so jitter is batch-size invariant.
         for (std::size_t r = 0; r < rays.size(); ++r) {
-            sampler.sample(rays[r], grid, rng, scratch_samples_,
+            sampler.sample(rays[r], grid, rng_for(r), scratch_samples_,
                            workload ? &scratch_workload_ : nullptr);
             batch.appendRay(normalize(rays[r].dir), scratch_samples_);
             out[r] = RayEval{};
@@ -104,20 +107,22 @@ class RayBatchEvaluator
         // Composite per ray through its CSR range. Each ray reads and
         // writes only its own range/slots, so the parallel split is
         // bit-exact with the serial loop.
-        std::vector<CompositeResult> &results =
-            record ? tape_results_ : scratch_results_;
-        results.resize(rays.size());
+        if (record)
+            tape_results_.resize(rays.size());
         const auto composite_ray = [&](std::size_t r) {
             const std::size_t begin = batch.rayBegin(static_cast<int>(r));
             const std::size_t count = batch.raySampleCount(static_cast<int>(r));
             const CompositeResult cr =
                 composite({batch.sigmas.data() + begin, count},
                           {batch.rgbs.data() + begin, count},
-                          {batch.dts.data() + begin, count}, render);
-            results[r] = cr;
+                          {batch.dts.data() + begin, count}, render,
+                          {batch.ts.data() + begin, count}, t_far);
+            if (record)
+                tape_results_[r] = cr;
             out[r].color = cr.color;
             out[r].transmittance = cr.transmittance;
             out[r].composited = cr.used;
+            out[r].depth = cr.depth;
             if (count > 0)
                 out[r].firstHitT = batch.ts[begin];
         };
@@ -212,7 +217,6 @@ class RayBatchEvaluator
 
     // record=false scratch, so inference never disturbs the tape.
     SampleBatch scratch_batch_;
-    std::vector<CompositeResult> scratch_results_;
     std::vector<RaySample> scratch_samples_;
     RayWorkload scratch_workload_;
     CompositeBackwardScratch composite_scratch_;

@@ -10,9 +10,10 @@
  *
  * The contract is intentionally tiny: a backend tag, the parameter
  * count (memory accounting), and two *const, thread-safe* batched
- * evaluation entry points. Each call allocates its own scratch, which
- * matches the existing cost model — the tiled renderer already built a
- * fresh batch workspace per row-tile rect.
+ * evaluation entry points. Each call allocates its own scratch; the
+ * tiled renderer calls evalBatch once per row-tile rect, as the forward
+ * of that rect's RayBatchEvaluator trace, so that is one workspace per
+ * rect.
  */
 
 #ifndef FUSION3D_NERF_FIELD_H_

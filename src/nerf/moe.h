@@ -22,8 +22,11 @@
 #include <memory>
 #include <vector>
 
+#include "common/image.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "nerf/camera.h"
+#include "nerf/parallel_render.h"
 #include "nerf/pipeline.h"
 #include "nerf/radiance_field.h"
 
@@ -213,6 +216,27 @@ class MoeField : public RadianceField
             total.color += cfg_.background * trans_product;
             total.transmittance = trans_product;
             out[r] = total;
+        }
+    }
+
+    /**
+     * Jittered eval render: one traceRays batch per image row, row y
+     * drawing from Pcg32(seed + y, kRowJitterStream).
+     */
+    void
+    renderView(const Camera &camera, std::uint64_t seed, Image &out) override
+    {
+        out = Image(camera.width(), camera.height());
+        std::vector<Ray> rays(static_cast<std::size_t>(camera.width()));
+        std::vector<RayEval> evals(rays.size());
+        for (int y = 0; y < camera.height(); ++y) {
+            Pcg32 row_rng(seed + static_cast<std::uint64_t>(y), kRowJitterStream);
+            for (int x = 0; x < camera.width(); ++x)
+                rays[static_cast<std::size_t>(x)] = camera.rayForPixel(x, y);
+            traceRays(rays, row_rng, /*record=*/false, evals);
+            for (int x = 0; x < camera.width(); ++x)
+                out.at(x, y) =
+                    clamp(evals[static_cast<std::size_t>(x)].color, 0.0f, 1.0f);
         }
     }
 

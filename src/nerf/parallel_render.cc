@@ -1,9 +1,10 @@
 #include "nerf/parallel_render.h"
 
+#include <optional>
 #include <vector>
 
 #include "common/logging.h"
-#include "nerf/sample_batch.h"
+#include "nerf/batch_evaluator.h"
 #include "obs/trace.h"
 
 namespace fusion3d::nerf
@@ -12,22 +13,15 @@ namespace fusion3d::nerf
 namespace
 {
 
-/** Stream id of the per-row jitter generators. */
-constexpr std::uint64_t kRowStream = 0x9e3779b97f4a7c15ULL;
-
 /**
  * Render the pixel rectangle [x0, x1) x [y0, y1) into @p color (and
- * @p depth when non-null). The whole rect is one ray batch: Stage I
- * samples every pixel's ray into a flat SampleBatch (jitter stays
- * per-row, so tiling cannot change the streams), one
- * ServeableField::evalBatch evaluates the flattened samples through the
- * backend's batched kernels, and each ray composites over its CSR
- * range. Per sample the batched arithmetic matches the scalar path bit
- * for bit, so the output is still bit-identical across tilings and
- * thread counts, and to the scalar reference. (A rect with x0 > 0
- * starts its per-row jitter stream at a different offset than a
- * full-width render — only jitterless renders are sub-rect-invariant,
- * which is the inference default.)
+ * @p depth when non-null) as one ray batch through RayBatchEvaluator,
+ * with one ServeableField::evalBatch as its forward and no pool (the
+ * rect already runs inside the tile parallelFor). Jitter stays per-row,
+ * so tiling cannot change the streams; but a rect with x0 > 0 starts
+ * its rows' streams at a different offset than a full-width render, so
+ * only jitterless renders (the inference default) are
+ * sub-rect-invariant.
  */
 void
 renderRect(const ServeableField &field, const OccupancyGrid *grid,
@@ -35,39 +29,35 @@ renderRect(const ServeableField &field, const OccupancyGrid *grid,
            int y0, int y1, Image &color, float *depth)
 {
     F3D_TRACE_SPAN_ARG("parallel_render", "row_tile", y0);
-    const RaySampler sampler(cfg.sampler);
-    std::vector<RaySample> samples;
-    SampleBatch batch;
-
+    const std::size_t width = static_cast<std::size_t>(x1 - x0);
+    std::vector<Ray> rays;
+    rays.reserve(width * static_cast<std::size_t>(y1 - y0));
+    std::vector<Pcg32> row_rngs;
     for (int y = y0; y < y1; ++y) {
-        Pcg32 rng(cfg.seed + static_cast<std::uint64_t>(y), kRowStream);
-        for (int x = x0; x < x1; ++x) {
-            const Ray ray = camera.rayForPixel(x, y);
-            sampler.sample(ray, grid, rng, samples);
-            batch.appendRay(normalize(ray.dir), samples);
-        }
+        row_rngs.emplace_back(cfg.seed + static_cast<std::uint64_t>(y),
+                              kRowJitterStream);
+        for (int x = x0; x < x1; ++x)
+            rays.push_back(camera.rayForPixel(x, y));
     }
 
-    batch.prepareOutputs();
-    field.evalBatch(batch.positions, batch.dirs, batch.sigmas, batch.rgbs);
+    std::vector<RayEval> evals(rays.size());
+    RayBatchEvaluator eval("renderRect");
+    eval.traceRays(
+        RaySampler(cfg.sampler), grid, cfg.render, rays,
+        [&](std::size_t r) -> Pcg32 & { return row_rngs[r / width]; },
+        /*record=*/false, evals, /*workload=*/nullptr, /*pool=*/nullptr,
+        depth ? std::optional(cfg.farDepth) : std::nullopt,
+        [&](SampleBatch &batch) {
+            field.evalBatch(batch.positions, batch.dirs, batch.sigmas, batch.rgbs);
+        });
 
-    int r = 0;
+    std::size_t r = 0;
     for (int y = y0; y < y1; ++y) {
         for (int x = x0; x < x1; ++x, ++r) {
-            const std::size_t begin = batch.rayBegin(r);
-            const std::size_t count = batch.raySampleCount(r);
-            const std::span<const float> sigmas{batch.sigmas.data() + begin, count};
-            const std::span<const Vec3f> rgbs{batch.rgbs.data() + begin, count};
-            const std::span<const float> dts{batch.dts.data() + begin, count};
-
-            const CompositeResult cr = composite(sigmas, rgbs, dts, cfg.render);
-            color.at(x, y) = clamp(cr.color, 0.0f, 1.0f);
-
-            if (depth) {
-                const std::span<const float> ts{batch.ts.data() + begin, count};
+            color.at(x, y) = clamp(evals[r].color, 0.0f, 1.0f);
+            if (depth)
                 depth[static_cast<std::size_t>(y) * camera.width() + x] =
-                    compositeDepth(sigmas, dts, ts, cfg.render, cfg.farDepth);
-            }
+                    evals[r].depth;
         }
     }
 }

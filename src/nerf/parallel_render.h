@@ -5,15 +5,16 @@
  * TensoRF) plus an occupancy gate and render whole frames by splitting
  * them into row-tiles executed on a ThreadPool, or inline with none.
  * This is the render path of the serving subsystem (src/serve) and of
- * Trainer::renderView for every PointPipeline (with or without a
+ * every PointPipeline's RadianceField::renderView (with or without a
  * pool); a bare model renders through a borrowing wrapper, e.g.
  * `renderImageTiled(HashGridServeField(model), ...)`.
  *
- * Determinism: every image row re-seeds its own Pcg32 from
- * (cfg.seed, row), so the rendered frame is bit-identical regardless
- * of tiling, thread count, or execution order — and, with jitter
- * disabled, bit-identical to a RadianceField::traceRays row loop over
- * the same model/grid/camera (proved in tests/test_serve.cc).
+ * Each row-tile rect is one ray batch through RayBatchEvaluator, the
+ * driver training uses, with one ServeableField::evalBatch as its
+ * forward. Row y draws jitter from Pcg32(cfg.seed + y,
+ * kRowJitterStream), so a frame is bit-identical regardless of tiling,
+ * thread count, or execution order, and to a RadianceField::traceRays
+ * row loop seeding the same streams (proved in tests/test_serve.cc).
  */
 
 #ifndef FUSION3D_NERF_PARALLEL_RENDER_H_
@@ -34,6 +35,9 @@
 namespace fusion3d::nerf
 {
 
+/** Stream id of row y's jitter generator, Pcg32(seed + y, kRowJitterStream). */
+inline constexpr std::uint64_t kRowJitterStream = 0x9e3779b97f4a7c15ULL;
+
 /** Configuration of one tiled render. */
 struct TiledRenderConfig
 {
@@ -45,7 +49,7 @@ struct TiledRenderConfig
     int rowsPerTile = 4;
     /** Base seed of the per-row jitter streams (unused when !jitter). */
     std::uint64_t seed = 0;
-    /** Depth assigned to fully transparent rays (compositeDepth t_far). */
+    /** Depth assigned to fully transparent rays (composite's t_far). */
     float farDepth = 2.5f;
 };
 

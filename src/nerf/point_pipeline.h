@@ -116,11 +116,12 @@ class PointPipeline : public RadianceField
     traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
               std::span<RayEval> out, RayWorkload *workload = nullptr) override
     {
-        eval_.traceRays(sampler_, &grid_, cfg_.render, rays, rng, record, out,
-                        workload, pool_, [&](SampleBatch &batch) {
-                            forwardSharded(batch.positions, batch.dirs, batch.sigmas,
-                                           batch.rgbs);
-                        });
+        eval_.traceRays(
+            sampler_, &grid_, cfg_.render, rays,
+            [&rng](std::size_t) -> Pcg32 & { return rng; }, record, out, workload,
+            pool_, /*t_far=*/std::nullopt, [&](SampleBatch &batch) {
+                forwardSharded(batch.positions, batch.dirs, batch.sigmas, batch.rgbs);
+            });
     }
 
     /**
@@ -163,19 +164,18 @@ class PointPipeline : public RadianceField
     /**
      * Tiled inference render through the backend's ServeableField
      * wrapper (parallel_render row tiling, jitter off); bit-identical
-     * at any thread count, or with no pool. Always available here.
+     * at any thread count, or with no pool.
      */
-    bool
-    renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out) override
+    void
+    renderView(const Camera &camera, std::uint64_t seed, Image &out) override
     {
         TiledRenderConfig tcfg;
         tcfg.sampler = cfg_.sampler;
         tcfg.sampler.jitter = false; // inference render
         tcfg.render = cfg_.render;
-        tcfg.seed = cfg_.seed;
+        tcfg.seed = seed;
         const PointServeField<ModelT> field(*model_);
-        out = renderImageTiled(field, &grid_, camera, tcfg, pool);
-        return true;
+        out = renderImageTiled(field, &grid_, camera, tcfg, pool_);
     }
 
   protected:

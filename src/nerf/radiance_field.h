@@ -12,6 +12,7 @@
 #define FUSION3D_NERF_RADIANCE_FIELD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 
@@ -46,6 +47,8 @@ struct RayEval
     /** Ray parameter of the first valid sample (+inf if none). The
      *  multi-chip I/O module orders expert partials by this depth. */
     float firstHitT = std::numeric_limits<float>::infinity();
+    /** Composited depth (see composite); 0 unless the trace asked. */
+    float depth = 0.0f;
 };
 
 /** A differentiable, trainable radiance field. */
@@ -114,29 +117,22 @@ class RadianceField
     /**
      * Attach a thread pool the field may use to parallelize batched
      * work (traceRays/backwardRays sharding, optimizerStep,
-     * updateOccupancy). Null detaches and runs the same work inline;
-     * the pool must outlive the field's use of it. Results are
-     * reproducible for a given seed with any pool size or none — the
-     * shard partition and gradient reduction order are fixed by batch
-     * size alone.
+     * updateOccupancy, renderView tiles). Null detaches and runs the
+     * same work inline; the pool must outlive the field's use of it.
+     * Results are reproducible for a given seed with any pool size or
+     * none — the shard partition and gradient reduction order are
+     * fixed by batch size alone.
      */
     virtual void setThreadPool(ThreadPool *pool) { pool_ = pool; }
     ThreadPool *threadPool() const { return pool_; }
 
     /**
-     * Render @p camera's jitter-free view as row-tiles on @p pool (null
-     * renders on the calling thread), bit-identical regardless of
-     * tiling or thread count. Returns false if this field has no tiled
-     * path (the base class doesn't); the caller then falls back to its
-     * serial render loop.
+     * Render @p camera's evaluation view into @p out. Row y draws its
+     * jitter from Pcg32(seed + y, kRowJitterStream), never from a
+     * training stream. PointPipeline renders jitter-free row tiles on
+     * the attached pool; MoeField traces a batch per row.
      */
-    virtual bool renderViewTiled(const Camera &camera, ThreadPool *pool, Image &out)
-    {
-        (void)camera;
-        (void)pool;
-        (void)out;
-        return false;
-    }
+    virtual void renderView(const Camera &camera, std::uint64_t seed, Image &out) = 0;
 
   protected:
     /** Zero all accumulated parameter gradients. */

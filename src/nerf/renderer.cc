@@ -11,19 +11,24 @@ namespace fusion3d::nerf
 
 CompositeResult
 composite(std::span<const float> sigmas, std::span<const Vec3f> rgbs,
-          std::span<const float> dts, const RenderParams &params)
+          std::span<const float> dts, const RenderParams &params,
+          std::span<const float> ts, std::optional<float> t_far)
 {
-    if (sigmas.size() != rgbs.size() || sigmas.size() != dts.size())
+    if (sigmas.size() != rgbs.size() || sigmas.size() != dts.size() ||
+        (t_far && sigmas.size() != ts.size()))
         panic("composite: span length mismatch");
 
     CompositeResult r;
     r.color = Vec3f(0.0f);
     float trans = 1.0f;
+    float depth = 0.0f;
     int used = 0;
     for (std::size_t i = 0; i < sigmas.size(); ++i) {
         const float alpha = 1.0f - std::exp(-sigmas[i] * dts[i]);
         const float w = trans * alpha;
         r.color += rgbs[i] * w;
+        if (t_far)
+            depth += w * ts[i];
         trans *= 1.0f - alpha;
         ++used;
         if (trans < params.terminationThreshold)
@@ -32,26 +37,9 @@ composite(std::span<const float> sigmas, std::span<const Vec3f> rgbs,
     r.color += params.background * trans;
     r.transmittance = trans;
     r.used = used;
+    if (t_far)
+        r.depth = depth + trans * *t_far;
     return r;
-}
-
-float
-compositeDepth(std::span<const float> sigmas, std::span<const float> dts,
-               std::span<const float> ts, const RenderParams &params, float t_far)
-{
-    if (sigmas.size() != dts.size() || sigmas.size() != ts.size())
-        panic("compositeDepth: span length mismatch");
-
-    float depth = 0.0f;
-    float trans = 1.0f;
-    for (std::size_t i = 0; i < sigmas.size(); ++i) {
-        const float alpha = 1.0f - std::exp(-sigmas[i] * dts[i]);
-        depth += trans * alpha * ts[i];
-        trans *= 1.0f - alpha;
-        if (trans < params.terminationThreshold)
-            break;
-    }
-    return depth + trans * t_far;
 }
 
 void

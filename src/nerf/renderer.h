@@ -9,6 +9,7 @@
 #ifndef FUSION3D_NERF_RENDERER_H_
 #define FUSION3D_NERF_RENDERER_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -34,6 +35,8 @@ struct CompositeResult
     float transmittance = 1.0f;
     /** Samples actually consumed before early termination. */
     int used = 0;
+    /** Expected termination depth (see composite); 0 unless asked for. */
+    float depth = 0.0f;
 };
 
 /**
@@ -41,21 +44,14 @@ struct CompositeResult
  *   alpha_i = 1 - exp(-sigma_i * dt_i)
  *   T_i     = prod_{j<i} (1 - alpha_j)
  *   C       = sum_i T_i * alpha_i * c_i + T_end * background
+ *   depth   = sum_i T_i * alpha_i * t_i + T_end * t_far
+ * The depth sum (the image-warp extension's reprojection depth) runs
+ * only when @p t_far is set; @p ts then holds each sample's t.
  */
 CompositeResult composite(std::span<const float> sigmas, std::span<const Vec3f> rgbs,
-                          std::span<const float> dts, const RenderParams &params);
-
-/**
- * Expected termination depth of a composited ray: sum_i w_i * t_i plus
- * the remaining transmittance at the far bound. Used by the image-warp
- * extension (frame reuse a la MetaVRain) to reproject pixels.
- *
- * @param ts    Ray parameter of each sample (matching sigmas/dts).
- * @param t_far Depth assigned to the un-terminated remainder.
- */
-float compositeDepth(std::span<const float> sigmas, std::span<const float> dts,
-                     std::span<const float> ts, const RenderParams &params,
-                     float t_far);
+                          std::span<const float> dts, const RenderParams &params,
+                          std::span<const float> ts = {},
+                          std::optional<float> t_far = std::nullopt);
 
 /**
  * Reusable scratch for compositeBackward(); keeps the per-ray prefix

@@ -137,30 +137,12 @@ Image
 Trainer::renderView(const Camera &camera)
 {
     F3D_TRACE_SPAN("train", "render_view");
-    Image out(camera.width(), camera.height());
-    // Fields with a tiled path (PointPipeline) render as row-tiles —
-    // bit-identical at any thread count, or with no pool.
-    if (field_.renderViewTiled(camera, cfg_.pool, out))
-        return out;
-    const std::size_t width = static_cast<std::size_t>(camera.width());
-    for (int y = 0; y < camera.height(); ++y) {
-        // One ray batch per image row through the batched core. Rows
-        // re-seed their own generator (the tiled renderer's scheme)
-        // rather than drawing from rng_: evaluation must not perturb
-        // the training stream, or interleaved evals would make weights
-        // depend on the eval schedule and the render path taken.
-        Pcg32 row_rng(cfg_.seed + static_cast<std::uint64_t>(y),
-                      0x9e3779b97f4a7c15ULL);
-        batch_rays_.clear();
-        batch_rays_.reserve(width);
-        for (int x = 0; x < camera.width(); ++x)
-            batch_rays_.push_back(camera.rayForPixel(x, y));
-        batch_evals_.resize(width);
-        field_.traceRays(batch_rays_, row_rng, /*record=*/false, batch_evals_);
-        for (int x = 0; x < camera.width(); ++x)
-            out.at(x, y) = clamp(batch_evals_[static_cast<std::size_t>(x)].color,
-                                 0.0f, 1.0f);
-    }
+    // The field seeds its own per-row streams from cfg_.seed rather
+    // than drawing from rng_: evaluation must not perturb the training
+    // stream, or interleaved evals would make weights depend on the
+    // eval schedule.
+    Image out;
+    field_.renderView(camera, cfg_.seed, out);
     return out;
 }
 

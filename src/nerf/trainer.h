@@ -105,9 +105,9 @@ class Trainer
     double evalPsnr(int max_views = 1);
 
     /**
-     * Render an arbitrary camera with the current model: jitter-free
-     * row tiles for fields with a tiled path (every PointPipeline), a
-     * jittered traceRays row loop otherwise (MoeField).
+     * Render an arbitrary camera with the current model through
+     * RadianceField::renderView, with row jitter streams seeded from
+     * TrainerConfig::seed.
      */
     Image renderView(const Camera &camera);
 

@@ -1,6 +1,7 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -18,6 +19,11 @@ namespace fusion3d::serve
 
 namespace
 {
+
+/** Next request id, shared by every RenderServer in the process: ids
+ *  key trace trees, flight-recorder entries and SLO windows, which
+ *  must not merge across co-resident servers. */
+std::atomic<std::uint64_t> g_next_request_id{1};
 
 /** Outcomes that consume the SLO error budget. Shutdown shedding is
  *  excluded: draining a stopping server is not a service failure. */
@@ -133,8 +139,7 @@ RenderServer::submit(RenderRequest request)
 {
     QueuedRequest qr;
     qr.request = std::move(request);
-    qr.enqueued = Clock::now();
-    qr.id = next_id_.fetch_add(1);
+    qr.id = g_next_request_id.fetch_add(1);
     // Mint the request's causal trace context: the request id plus the
     // id of the root "request" span finish() will emit. Every span from
     // here to completion — including tile renders on pool workers —
@@ -145,6 +150,10 @@ RenderServer::submit(RenderRequest request)
         tracer.capturing() ? tracer.nextSpanId() : 0;
     obs::ScopedTraceContext trace_ctx(qr.request.trace);
     F3D_TRACE_SPAN("serve", "submit");
+    // Stamped inside the submit span, so the root span (backdated to
+    // this stamp) starts within a phase: a request rejected at
+    // admission is then fully attributed to "submit".
+    qr.enqueued = Clock::now();
     std::future<RenderResponse> future = qr.promise.get_future();
 
     stats_.recordSubmitted(queue_.depth());

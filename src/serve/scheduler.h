@@ -5,8 +5,10 @@
  * enforcement and graceful degradation.
  *
  * A request's life:
- *  1. submit() assigns an id and pushes it into the bounded queue; a
- *     full queue sheds it immediately (Outcome::rejectedQueueFull).
+ *  1. submit() assigns a process-unique id (one counter shared by
+ *     every server, so traces of co-resident servers never merge) and
+ *     pushes the request into the bounded queue; a full queue sheds
+ *     it immediately (Outcome::rejectedQueueFull).
  *  2. The dispatcher thread pops batches of same-model requests,
  *     honouring a max-in-flight bound so overload backs up into the
  *     bounded queue (where admission control can see it) instead of
@@ -145,7 +147,6 @@ class RenderServer
     RequestQueue queue_;
     ThreadPool pool_;
 
-    std::atomic<std::uint64_t> next_id_{1};
     /** Set by stop(): the dispatcher sheds queued requests instead of
      *  rendering them. */
     std::atomic<bool> shed_on_close_{false};

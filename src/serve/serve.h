@@ -121,7 +121,8 @@ struct RenderResponse
     Image image;
     /** Submit-to-completion latency. */
     double latencyMs = 0.0;
-    /** Server-assigned request id (submission order). */
+    /** Server-assigned request id: process-unique, increasing in
+     *  submission order. */
     std::uint64_t id = 0;
 };
 

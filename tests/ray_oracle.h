@@ -3,11 +3,13 @@
  *  pipe.config().sampler and pipe.grid(), the model's scalar
  *  forwardPoint/backwardPoint, and composite/compositeBackward — so it
  *  shares no code with RayBatchEvaluator or the shard engine. The
- *  bit-exactness tests compare traceRays/backwardRays against it. */
+ *  bit-exactness tests compare traceRays/backwardRays and the tiled
+ *  renderer's depth frames against it. */
 
 #ifndef FUSION3D_TESTS_RAY_ORACLE_H_
 #define FUSION3D_TESTS_RAY_ORACLE_H_
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -67,6 +69,24 @@ oracleForward(PipelineT &pipe, const Ray &ray, Pcg32 &rng,
     if (n > 0)
         tr.eval.firstHitT = tr.samples.front().t;
     return tr;
+}
+
+/** The scalar reference of a depth-frame pixel: sum_i w_i * t_i +
+ *  T * t_far over @p tr's samples, stopping where composite's early
+ *  termination stops. */
+inline float
+oracleDepth(const TracedRay &tr, const RenderParams &params, float t_far)
+{
+    float depth = 0.0f;
+    float trans = 1.0f;
+    for (std::size_t i = 0; i < tr.samples.size(); ++i) {
+        const float alpha = 1.0f - std::exp(-tr.sigmas[i] * tr.dts[i]);
+        depth += trans * alpha * tr.samples[i].t;
+        trans *= 1.0f - alpha;
+        if (trans < params.terminationThreshold)
+            break;
+    }
+    return depth + trans * t_far;
 }
 
 /** The scalar reference of traceRays for one ray. */

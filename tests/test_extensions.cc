@@ -115,24 +115,26 @@ TEST(CompositeDepth, OpaqueSampleSetsDepth)
 {
     RenderParams params;
     const std::vector<float> sigmas{1e5f};
+    const std::vector<Vec3f> rgbs(1, Vec3f(0.5f));
     const std::vector<float> dts{0.1f};
     const std::vector<float> ts{1.25f};
-    EXPECT_NEAR(compositeDepth(sigmas, dts, ts, params, 3.0f), 1.25f, 1e-3f);
+    EXPECT_NEAR(composite(sigmas, rgbs, dts, params, ts, 3.0f).depth, 1.25f, 1e-3f);
 }
 
 TEST(CompositeDepth, EmptyRayReturnsFar)
 {
     RenderParams params;
-    EXPECT_FLOAT_EQ(compositeDepth({}, {}, {}, params, 2.5f), 2.5f);
+    EXPECT_FLOAT_EQ(composite({}, {}, {}, params, {}, 2.5f).depth, 2.5f);
 }
 
 TEST(CompositeDepth, SemiTransparentBlends)
 {
     RenderParams params;
     const std::vector<float> sigmas{7.0f}; // alpha ~ 0.5 at dt 0.1
+    const std::vector<Vec3f> rgbs(1, Vec3f(0.5f));
     const std::vector<float> dts{0.1f};
     const std::vector<float> ts{1.0f};
-    const float d = compositeDepth(sigmas, dts, ts, params, 2.0f);
+    const float d = composite(sigmas, rgbs, dts, params, ts, 2.0f).depth;
     EXPECT_GT(d, 1.0f);
     EXPECT_LT(d, 2.0f);
 }

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "nerf/serialize.h"
 #include "nerf/tensorf.h"
 #include "nerf/trainer.h"
+#include "ray_oracle.h"
 #include "serve/model_registry.h"
 #include "serve/reproject.h"
 #include "serve/scheduler.h"
@@ -100,12 +102,31 @@ TEST(ParallelRender, JitteredTilesAreThreadCountInvariant)
     expectImagesIdentical(serial, parallel);
 }
 
+/** The training path's render: a pipeline's traceRays, one ray batch
+ *  per image row, row y drawing jitter from
+ *  Pcg32(seed + y, kRowJitterStream). */
+Image
+traceRowLoop(nerf::NerfPipeline &pipe, const nerf::Camera &cam, std::uint64_t seed)
+{
+    Image out(cam.width(), cam.height());
+    std::vector<Ray> rays(static_cast<std::size_t>(cam.width()));
+    std::vector<nerf::RayEval> evals(rays.size());
+    for (int y = 0; y < cam.height(); ++y) {
+        Pcg32 row_rng(seed + static_cast<std::uint64_t>(y), nerf::kRowJitterStream);
+        for (int x = 0; x < cam.width(); ++x)
+            rays[static_cast<std::size_t>(x)] = cam.rayForPixel(x, y);
+        pipe.traceRays(rays, row_rng, /*record=*/false, evals);
+        for (int x = 0; x < cam.width(); ++x)
+            out.at(x, y) = clamp(evals[static_cast<std::size_t>(x)].color, 0.0f, 1.0f);
+    }
+    return out;
+}
+
 TEST(ParallelRender, MatchesTraceRaysAndTrainerRenderView)
 {
-    // The reference is the training path: a pipeline's traceRays, one
-    // ray batch per image row. Jitter off makes the comparison exact,
-    // both for a tiled render on a pool and for the Trainer's eval
-    // render without one.
+    // The reference is the training path's traceRays row loop. Jitter
+    // off makes the comparison exact, both for a tiled render on a pool
+    // and for the Trainer's eval render without one.
     nerf::PipelineConfig pc;
     pc.model = tinyModelConfig();
     pc.sampler.maxSamplesPerRay = 16;
@@ -114,18 +135,7 @@ TEST(ParallelRender, MatchesTraceRaysAndTrainerRenderView)
     nerf::NerfPipeline pipe(pc);
 
     const nerf::Camera cam = testCamera();
-    Image reference(cam.width(), cam.height());
-    Pcg32 rng(1);
-    std::vector<Ray> rays(static_cast<std::size_t>(cam.width()));
-    std::vector<nerf::RayEval> evals(rays.size());
-    for (int y = 0; y < cam.height(); ++y) {
-        for (int x = 0; x < cam.width(); ++x)
-            rays[static_cast<std::size_t>(x)] = cam.rayForPixel(x, y);
-        pipe.traceRays(rays, rng, /*record=*/false, evals);
-        for (int x = 0; x < cam.width(); ++x)
-            reference.at(x, y) =
-                clamp(evals[static_cast<std::size_t>(x)].color, 0.0f, 1.0f);
-    }
+    const Image reference = traceRowLoop(pipe, cam, /*seed=*/0);
 
     nerf::TiledRenderConfig rc;
     rc.sampler = pc.sampler;
@@ -139,6 +149,76 @@ TEST(ParallelRender, MatchesTraceRaysAndTrainerRenderView)
     data.train.push_back({cam, Image(cam.width(), cam.height())});
     nerf::Trainer trainer(pipe, data, nerf::TrainerConfig{});
     expectImagesIdentical(reference, trainer.renderView(cam));
+
+    // Jitter on: row y of a full-width tiled render draws from the same
+    // per-row stream as row y of the traceRays loop, whatever the
+    // tiling and pool.
+    pc.sampler.jitter = true;
+    nerf::NerfPipeline jittered(pc); // same seed -> same weights
+    constexpr std::uint64_t kSeed = 9;
+    rc.sampler = pc.sampler;
+    rc.seed = kSeed;
+    expectImagesIdentical(traceRowLoop(jittered, cam, kSeed),
+                          nerf::renderImageTiled(nerf::HashGridServeField(jittered.model()),
+                                                 &jittered.grid(), cam, rc, &pool));
+}
+
+/** renderDepthFrameTiled's depth map, pixel by pixel, against the
+ *  scalar oracle's sum_i w_i * t_i + T * t_far. */
+template <class FieldT, class PipelineT>
+void
+expectDepthFrameMatchesOracle(PipelineT &pipe)
+{
+    const nerf::Camera cam = testCamera();
+    nerf::TiledRenderConfig rc;
+    rc.sampler = pipe.config().sampler;
+    rc.sampler.jitter = false;
+    rc.render = pipe.config().render;
+    ThreadPool pool(3);
+    const nerf::DepthFrame frame =
+        nerf::renderDepthFrameTiled(FieldT(pipe.model()), &pipe.grid(), cam, rc, &pool);
+
+    Pcg32 rng(0);
+    int surface_pixels = 0;
+    for (int y = 0; y < cam.height(); ++y) {
+        for (int x = 0; x < cam.width(); ++x) {
+            const nerf::oracle::TracedRay tr =
+                nerf::oracle::oracleForward(pipe, cam.rayForPixel(x, y), rng);
+            const float ref = nerf::oracle::oracleDepth(tr, rc.render, rc.farDepth);
+            ASSERT_EQ(frame.depth[static_cast<std::size_t>(y) * cam.width() + x], ref)
+                << "(" << x << "," << y << ")";
+            if (ref < rc.farDepth - 0.1f)
+                ++surface_pixels;
+        }
+    }
+    // The map is not the trivial all-far one.
+    EXPECT_GT(surface_pixels, 0);
+}
+
+TEST(ParallelRender, DepthFrameMatchesScalarOracleHashGrid)
+{
+    nerf::PipelineConfig pc;
+    pc.model = tinyModelConfig();
+    pc.sampler.maxSamplesPerRay = 16;
+    pc.sampler.jitter = false;
+    pc.occupancyResolution = 12;
+    nerf::NerfPipeline pipe(pc);
+    expectDepthFrameMatchesOracle<nerf::HashGridServeField>(pipe);
+}
+
+TEST(ParallelRender, DepthFrameMatchesScalarOracleTensorf)
+{
+    nerf::TensorfPipelineConfig tc;
+    tc.model.densityRank = 6;
+    tc.model.appearanceRank = 8;
+    tc.model.lineResolution = 48;
+    tc.model.appearanceDim = 8;
+    tc.model.colorHidden = 16;
+    tc.sampler.maxSamplesPerRay = 24;
+    tc.sampler.jitter = false;
+    tc.occupancyResolution = 16;
+    nerf::TensorfPipeline pipe(tc);
+    expectDepthFrameMatchesOracle<nerf::TensorfServeField>(pipe);
 }
 
 TEST(ModelRegistry, DeploysFromArtifactFile)
@@ -192,6 +272,37 @@ TEST(RenderServer, ServesFullResolutionBitExact)
     server.shutdown();
     EXPECT_EQ(server.stats().count(Outcome::renderedFull), 1u);
     EXPECT_EQ(server.stats().completed(), server.stats().submitted());
+}
+
+TEST(RenderServer, RequestIdsAreUniqueAcrossServers)
+{
+    // Request ids key trace trees, flight-recorder entries and SLO
+    // windows, so two live servers in one process must never hand out
+    // the same id.
+    ModelRegistry registry(8);
+    registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
+    ServeConfig sc;
+    sc.renderThreads = 1;
+    sc.render.sampler.maxSamplesPerRay = 8;
+    RenderServer first(registry, sc);
+    RenderServer second(registry, sc);
+
+    RenderRequest req;
+    req.model = "m";
+    req.camera = testCamera(8);
+    std::vector<std::future<RenderResponse>> futures;
+    for (int i = 0; i < 4; ++i) {
+        futures.push_back(first.submit(req));
+        futures.push_back(second.submit(req));
+    }
+    std::set<std::uint64_t> ids;
+    for (auto &future : futures) {
+        const RenderResponse resp = future.get();
+        EXPECT_TRUE(ids.insert(resp.id).second) << "duplicate request id " << resp.id;
+    }
+    EXPECT_EQ(ids.size(), futures.size());
+    first.shutdown();
+    second.shutdown();
 }
 
 TEST(RenderServer, ServesTensorfArtifactEndToEnd)
