@@ -124,7 +124,6 @@ serve::RegistryConfig
 fleetRegistryConfig(std::size_t budget_bytes)
 {
     serve::RegistryConfig rc;
-    rc.occupancyResolution = 8;
     rc.backoffInitialMs = 0.1;
     rc.backoffMaxMs = 1.0;
     rc.memoryBudgetBytes = budget_bytes;

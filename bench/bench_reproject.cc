@@ -77,7 +77,7 @@ main(int argc, char **argv)
     std::printf("frame size %dx%d, %d frames, %.1f deg/frame orbit\n\n", size,
                 size, frames, static_cast<double>(delta_deg));
 
-    serve::ModelRegistry registry(/*occupancy_resolution=*/16);
+    serve::ModelRegistry registry;
     registry.add("bench", std::make_unique<nerf::NerfModel>(
                               bench::defaultPipeline().model, 2024));
     const serve::ModelEntry *entry = registry.find("bench");

@@ -232,7 +232,7 @@ main(int argc, char **argv)
     mc.colorHidden = 16;
     mc.shDegree = 2;
 
-    serve::ModelRegistry registry(/*occupancy_resolution=*/16);
+    serve::ModelRegistry registry;
     registry.add("bench", std::make_unique<nerf::NerfModel>(mc, 2024));
 
     if (overhead_check)

@@ -6,9 +6,14 @@
  * reload it elsewhere for rendering.
  *
  * Usage: deploy_model [scene] [iterations]
+ *
+ * Exits 1 unless the receiver's render of test view 0 is bit-identical
+ * to the sender's: the artifact carries the weights and the trained
+ * occupancy gate, so nothing is re-derived on the receiving side.
  */
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "common/logging.h"
@@ -67,20 +72,29 @@ main(int argc, char **argv)
     if (!hash_field)
         fatal("could not reload %s as a hash-grid model", path.c_str());
 
-    // Rebuild a pipeline around the loaded weights: copy them in and
-    // refresh the occupancy gate from the loaded field.
+    // Rebuild a pipeline around the loaded model: copy in its weights
+    // and the occupancy gate the sender trained.
     nerf::NerfPipeline receiver(pc);
     if (!nerf::loadInto(receiver.model(), hash_field->model()))
         fatal("loaded model does not fit the receiver pipeline");
-    Pcg32 rng(77, 3);
-    receiver.updateOccupancy(rng);
 
-    nerf::Trainer render_helper(receiver, data, nerf::TrainerConfig{});
-    const Image img = render_helper.renderView(data.test[0].camera);
-    const double received_psnr = psnr(img, data.test[0].image);
+    const nerf::Camera &camera = data.test[0].camera;
+    const Image sent = nerf::Trainer(pipeline, data, nerf::TrainerConfig{}).renderView(camera);
+    const Image img = nerf::Trainer(receiver, data, nerf::TrainerConfig{}).renderView(camera);
     img.writePpm("deployed_render.ppm");
-    inform("receiver renders the reloaded model at %.2f dB (sender: %.2f dB)",
-           received_psnr, trained_psnr);
+    inform("receiver renders the reloaded model at %.2f dB (sender: %.2f dB over "
+           "the test views)",
+           psnr(img, data.test[0].image), trained_psnr);
     inform("wrote deployed_render.ppm");
-    return received_psnr + 1.5 < trained_psnr ? 1 : 0;
+
+    // Same weights, same gate: the receiver's frame must be the sender's,
+    // bit for bit.
+    if (img.pixels().size() != sent.pixels().size() ||
+        std::memcmp(img.pixels().data(), sent.pixels().data(),
+                    img.pixels().size() * sizeof(Vec3f)) != 0) {
+        warn("the receiver's render of test view 0 differs from the sender's");
+        return 1;
+    }
+    inform("the receiver's render of test view 0 is bit-identical to the sender's");
+    return 0;
 }

@@ -423,7 +423,6 @@ runFleetTrace(int frames, int size, int fleet_n, double zipf_s, int tenants_n,
     const auto name = [](int i) { return strprintf("fleet%03d", i); };
 
     serve::RegistryConfig rc;
-    rc.occupancyResolution = 16;
     if (budget_models > 0) {
         // Size the budget off one probe entry; all fleet models share a
         // config, so every entry weighs the same.
@@ -734,7 +733,7 @@ main(int argc, char **argv)
         return runFleetTrace(frames, size, fleet_n, zipf_s, tenants_n,
                              budget_models, metrics_path, trace_path);
 
-    serve::ModelRegistry registry(/*occupancy_resolution=*/16);
+    serve::ModelRegistry registry;
     std::string tensorf_path;
     if (tensorf) {
         // Deploy through the real artifact path: write a `.f3dm`

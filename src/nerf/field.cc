@@ -17,4 +17,12 @@ backendKindName(BackendKind kind)
     return "unknown";
 }
 
+const OccupancyGrid &
+ServeableField::occupancy() const
+{
+    // One cell, never updated: every sample passes the gate.
+    static const OccupancyGrid all_occupied(1);
+    return all_occupied;
+}
+
 } // namespace fusion3d::nerf

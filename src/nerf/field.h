@@ -9,11 +9,11 @@
  * ladder, reprojection sessions, tracing, and per-tenant QoS.
  *
  * The contract is intentionally tiny: a backend tag, the parameter
- * count (memory accounting), and two *const, thread-safe* batched
- * evaluation entry points. Each call allocates its own scratch; the
- * tiled renderer calls evalBatch once per row-tile rect, as the forward
- * of that rect's RayBatchEvaluator trace, so that is one workspace per
- * rect.
+ * count (memory accounting), the occupancy gate the field was trained
+ * with, and two *const, thread-safe* batched evaluation entry points.
+ * Scratch is per thread: the tiled renderer calls evalBatch once per
+ * row-tile rect, as the forward of that rect's RayBatchEvaluator trace,
+ * and each worker reuses its own workspace across rects.
  */
 
 #ifndef FUSION3D_NERF_FIELD_H_
@@ -23,10 +23,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "common/quant.h"
 #include "common/vec.h"
+#include "nerf/occupancy_grid.h"
 
 namespace fusion3d::nerf
 {
@@ -54,9 +56,9 @@ class ServeableField
     virtual std::size_t paramCount() const = 0;
 
     /**
-     * Batched density+color evaluation. Thread-safe: the call uses only
-     * call-local scratch, so any number of render tiles may evaluate
-     * the same field concurrently. Per sample the arithmetic is
+     * Batched density+color evaluation. Thread-safe: the call shares no
+     * scratch with other threads, so any number of render tiles may
+     * evaluate the same field concurrently. Per sample the arithmetic is
      * bit-exact with the backend's scalar forward path.
      *
      * @param positions Sample positions in [0,1]^3.
@@ -69,10 +71,8 @@ class ServeableField
                            std::span<Vec3f> rgbs) const = 0;
 
     /**
-     * Batched density-only evaluation (occupancy-gate rebuilds).
-     * Thread-safe and bit-exact per sample with the scalar density
-     * query, so a gate rebuilt through this path equals the gate the
-     * training pipeline maintained.
+     * Batched density-only evaluation. Thread-safe and bit-exact per
+     * sample with the backend's scalar density query.
      */
     virtual void evalDensityBatch(std::span<const Vec3f> positions,
                                   std::span<float> sigmas) const = 0;
@@ -86,6 +86,13 @@ class ServeableField
     {
         return paramCount() * sizeof(float);
     }
+
+    /**
+     * The occupancy gate Stage I renders this field through: the one
+     * its model was trained with, shipped in the artifact. Fields
+     * without a model gate serve through an all-occupied one.
+     */
+    virtual const OccupancyGrid &occupancy() const;
 
     /** Numeric format evalBatch reads weights in (fp32 by default). */
     virtual QuantMode quantMode() const { return QuantMode::fp32; }
@@ -133,21 +140,20 @@ class PointServeField : public ServeableField
 
     BackendKind kind() const override { return ModelT::kBackendKind; }
     std::size_t paramCount() const override { return model().paramCount(); }
+    const OccupancyGrid &occupancy() const override { return model().occupancy(); }
 
     void
     evalBatch(std::span<const Vec3f> positions, std::span<const Vec3f> dirs,
               std::span<float> sigmas, std::span<Vec3f> rgbs) const override
     {
-        typename ModelT::BatchWorkspace ws = model().makeBatchWorkspace();
-        model().forwardPointBatch(positions, dirs, ws, sigmas, rgbs);
+        model().forwardPointBatch(positions, dirs, workspace(), sigmas, rgbs);
     }
 
     void
     evalDensityBatch(std::span<const Vec3f> positions,
                      std::span<float> sigmas) const override
     {
-        typename ModelT::BatchWorkspace ws = model().makeBatchWorkspace();
-        model().queryDensityBatch(positions, ws, sigmas);
+        model().queryDensityBatch(positions, workspace(), sigmas);
     }
 
     std::size_t
@@ -191,6 +197,26 @@ class PointServeField : public ServeableField
     }
 
   private:
+    /**
+     * The calling thread's batch workspace for this backend. A worker
+     * keeps one, grown to its largest batch and reused across calls
+     * and fields, so a render does not allocate (and page-fault in)
+     * fresh activation buffers for every tile. A workspace is sized for
+     * one architecture, so it is rebuilt when the worker meets a model
+     * of another config.
+     */
+    typename ModelT::BatchWorkspace &
+    workspace() const
+    {
+        thread_local std::optional<typename ModelT::Config> sized_for;
+        thread_local typename ModelT::BatchWorkspace ws;
+        if (sized_for != model().config()) {
+            ws = model().makeBatchWorkspace();
+            sized_for = model().config();
+        }
+        return ws;
+    }
+
     std::unique_ptr<ModelT> owned_;
     const ModelT *borrowed_ = nullptr;
 };

@@ -20,6 +20,7 @@
 #include "nerf/adam.h"
 #include "nerf/field.h"
 #include "nerf/mlp.h"
+#include "nerf/occupancy_grid.h"
 #include "nerf/nerf_model.h"
 #include "nerf/point_pipeline.h"
 
@@ -59,6 +60,7 @@ struct FreqNerfConfig
     const char *invalidReason() const;
     /** Parameter count of a model built from this (valid) config. */
     std::size_t paramCount() const;
+    bool operator==(const FreqNerfConfig &) const = default;
 };
 
 /**
@@ -94,7 +96,7 @@ struct FreqNerfBatchWorkspace
 };
 
 /** The pure-MLP radiance model (PointPipeline-compatible). */
-class FreqNerfModel
+class FreqNerfModel : public OccupancyGated
 {
   public:
     using Config = FreqNerfConfig;

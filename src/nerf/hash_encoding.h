@@ -49,6 +49,7 @@ struct HashGridConfig
     const char *invalidReason() const;
     /** Parameter count of a grid built from this (valid) config. */
     std::size_t paramCount() const;
+    bool operator==(const HashGridConfig &) const = default;
 };
 
 /**

@@ -121,7 +121,7 @@ class MoeField : public RadianceField
     const RayEval &
     partial(std::size_t ray, int expert) const
     {
-        return expert_evals_[static_cast<std::size_t>(expert)][ray];
+        return lastBatch().evals[static_cast<std::size_t>(expert)][ray];
     }
 
     /**
@@ -135,15 +135,18 @@ class MoeField : public RadianceField
     float
     fusionWeight(std::size_t ray, int expert) const
     {
-        return fusion_weights_batch_[ray * experts_.size() +
-                                     static_cast<std::size_t>(expert)];
+        return lastBatch().weights[ray * experts_.size() + static_cast<std::size_t>(expert)];
     }
 
     /**
      * Batch-native override: every expert traces the whole ray batch
      * through its own batched pipeline (expert-major, so each expert's
      * flattened SampleBatch spans all rays), then partials fuse per ray
-     * at the I/O module.
+     * at the I/O module. record=true keeps the fusion weights as the
+     * backwardRays tape; record=false works in separate scratch, so an
+     * inference render between a recorded trace and its backward leaves
+     * the tape intact (each expert pipeline keeps its own tape the same
+     * way).
      */
     void
     traceRays(std::span<const Ray> rays, Pcg32 &rng, bool record,
@@ -162,9 +165,11 @@ class MoeField : public RadianceField
         if (n == 0)
             return;
 
-        expert_evals_.resize(static_cast<std::size_t>(numExperts()));
+        last_recorded_ = record;
+        FusedBatch &batch = record ? tape_ : scratch_;
+        batch.evals.resize(static_cast<std::size_t>(numExperts()));
         for (int k = 0; k < numExperts(); ++k) {
-            auto &evals = expert_evals_[static_cast<std::size_t>(k)];
+            auto &evals = batch.evals[static_cast<std::size_t>(k)];
             evals.resize(n);
             RayWorkload &wl = expert_workloads_[static_cast<std::size_t>(k)];
             experts_[static_cast<std::size_t>(k)]->traceRays(rays, rng, record, evals,
@@ -182,7 +187,7 @@ class MoeField : public RadianceField
         // depth order is well defined per ray). Only per-expert scalars
         // are used, preserving the Level-1 tiling's communication
         // profile.
-        fusion_weights_batch_.resize(n * static_cast<std::size_t>(numExperts()));
+        batch.weights.resize(n * static_cast<std::size_t>(numExperts()));
         for (std::size_t r = 0; r < n; ++r) {
             RayEval total;
             total.color = Vec3f(0.0f);
@@ -206,8 +211,8 @@ class MoeField : public RadianceField
             float prefix = 1.0f;
             for (int idx : fusion_order_) {
                 const RayEval &p = partial(r, idx);
-                fusion_weights_batch_[r * static_cast<std::size_t>(numExperts()) +
-                                      static_cast<std::size_t>(idx)] = prefix;
+                batch.weights[r * static_cast<std::size_t>(numExperts()) +
+                              static_cast<std::size_t>(idx)] = prefix;
                 total.color += p.color * prefix;
                 prefix *= p.transmittance;
             }
@@ -270,7 +275,7 @@ class MoeField : public RadianceField
     {
         const std::size_t n = dcolors.size();
         const std::size_t experts = static_cast<std::size_t>(numExperts());
-        if (fusion_weights_batch_.size() < n * experts)
+        if (tape_.weights.size() < n * experts)
             fatal("MoeField::backwardRays without a recorded traceRays batch");
 
         expert_dcolors_.resize(experts);
@@ -278,7 +283,7 @@ class MoeField : public RadianceField
             std::vector<Vec3f> &dc = expert_dcolors_[k];
             dc.resize(n);
             for (std::size_t r = 0; r < n; ++r)
-                dc[r] = dcolors[r] * fusion_weights_batch_[r * experts + k];
+                dc[r] = dcolors[r] * tape_.weights[r * experts + k];
             experts_[k]->backwardRays(dc);
         };
         if (pool_ && experts > 1) {
@@ -336,9 +341,20 @@ class MoeField : public RadianceField
             e->optimizerStep();
     }
 
-    void invalidateTapes() override { fusion_weights_batch_.clear(); }
+    void invalidateTapes() override { tape_.weights.clear(); }
 
   private:
+    /** One traced batch: per-expert partials, [expert][ray], and fusion
+     *  weights, [ray * numExperts + expert]. */
+    struct FusedBatch
+    {
+        std::vector<std::vector<RayEval>> evals;
+        std::vector<float> weights;
+    };
+
+    /** The batch of the last traceRays, recorded or not. */
+    const FusedBatch &lastBatch() const { return last_recorded_ ? tape_ : scratch_; }
+
     /** Re-apply the region mask to every expert's occupancy gate. */
     void
     applyRegionMasks()
@@ -354,10 +370,11 @@ class MoeField : public RadianceField
     std::vector<Vec3f> seeds_;
     std::vector<int> fusion_order_;
     std::vector<RayWorkload> expert_workloads_;
-    /** Per-expert RayEvals of the current batch, [expert][ray]. */
-    std::vector<std::vector<RayEval>> expert_evals_;
-    /** Fusion weights of the recorded batch, [ray * numExperts + expert]. */
-    std::vector<float> fusion_weights_batch_;
+    /** The recorded batch backwardRays consumes. */
+    FusedBatch tape_;
+    /** record=false batches, kept apart from the tape. */
+    FusedBatch scratch_;
+    bool last_recorded_ = true;
     /** Per-expert dL/d(color) scratch for backwardRays (one buffer per
      *  expert so the expert-major parallel backward shares nothing). */
     std::vector<std::vector<Vec3f>> expert_dcolors_;

@@ -19,6 +19,7 @@
 #include "nerf/field.h"
 #include "nerf/hash_encoding.h"
 #include "nerf/mlp.h"
+#include "nerf/occupancy_grid.h"
 #include "nerf/sh_encoding.h"
 
 namespace fusion3d
@@ -61,6 +62,7 @@ struct NerfModelConfig
     const char *invalidReason() const;
     /** Parameter count of a model built from this (valid) config. */
     std::size_t paramCount() const;
+    bool operator==(const NerfModelConfig &) const = default;
 };
 
 /** Density + color of one evaluated point. */
@@ -121,7 +123,7 @@ struct NerfBatchWorkspace
  * packed inference weights (setInferenceQuant), and the Stage-II
  * vertex-visitor hook the chip model traces through.
  */
-class NerfModel
+class NerfModel : public OccupancyGated
 {
   public:
     using Config = NerfModelConfig;

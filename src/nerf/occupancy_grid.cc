@@ -15,8 +15,29 @@ OccupancyGrid::OccupancyGrid(int resolution, float threshold)
     if (resolution < 1)
         fatal("OccupancyGrid resolution must be positive (got %d)", resolution);
     const std::size_t n = static_cast<std::size_t>(res_) * res_ * res_;
-    density_.assign(n, 0.0f);
     occupied_.assign(n, true); // everything occupied until first update
+}
+
+OccupancyGrid
+OccupancyGrid::fromPackedBits(int resolution, std::span<const std::uint8_t> packed)
+{
+    OccupancyGrid grid(resolution);
+    if (packed.size() < grid.bitfieldBytes())
+        fatal("OccupancyGrid::fromPackedBits: %zu bytes for a %zu-byte bitfield",
+              packed.size(), grid.bitfieldBytes());
+    for (std::size_t i = 0; i < grid.occupied_.size(); ++i)
+        grid.occupied_[i] = (packed[i / 8] >> (i % 8)) & 1u;
+    return grid;
+}
+
+std::vector<std::uint8_t>
+OccupancyGrid::packedBits() const
+{
+    std::vector<std::uint8_t> packed(bitfieldBytes(), 0);
+    for (std::size_t i = 0; i < occupied_.size(); ++i)
+        if (occupied_[i])
+            packed[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    return packed;
 }
 
 std::size_t
@@ -60,9 +81,9 @@ OccupancyGrid::update(const std::function<float(const Vec3f &)> &density, Pcg32 
 void
 OccupancyGrid::collectProbePositions(Pcg32 &rng, std::vector<Vec3f> &out) const
 {
-    out.resize(density_.size());
+    out.resize(cellCount());
     const float inv = 1.0f / static_cast<float>(res_);
-    for (std::size_t i = 0; i < density_.size(); ++i) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
         Vec3f p = cellCenter(i);
         // Jitter within the cell so thin structures are found eventually.
         p.x += (rng.nextFloat() - 0.5f) * inv;
@@ -75,9 +96,11 @@ OccupancyGrid::collectProbePositions(Pcg32 &rng, std::vector<Vec3f> &out) const
 void
 OccupancyGrid::applyDensities(std::span<const float> fresh, float decay)
 {
-    if (fresh.size() != density_.size())
+    if (fresh.size() != cellCount())
         fatal("OccupancyGrid::applyDensities expects %zu samples (got %zu)",
-              density_.size(), fresh.size());
+              cellCount(), fresh.size());
+    if (density_.empty())
+        density_.assign(cellCount(), 0.0f);
     for (std::size_t i = 0; i < density_.size(); ++i) {
         density_[i] = std::max(density_[i] * decay, fresh[i]);
         occupied_[i] = density_[i] > threshold_;
@@ -103,7 +126,8 @@ OccupancyGrid::maskRegion(const std::function<bool(const Vec3f &)> &keep)
     for (std::size_t i = 0; i < occupied_.size(); ++i) {
         if (!keep(cellCenter(i))) {
             occupied_[i] = false;
-            density_[i] = 0.0f;
+            if (!density_.empty())
+                density_[i] = 0.0f;
         }
     }
 }

@@ -21,7 +21,11 @@
 namespace fusion3d::nerf
 {
 
-/** A cubic occupancy grid with EMA density estimates and a bitfield. */
+/**
+ * A cubic occupancy grid: a bitfield plus the EMA density estimates that
+ * drive it. The estimates are allocated by the first update, so a fresh
+ * grid, or one read back from an artifact, holds its bits only.
+ */
 class OccupancyGrid
 {
   public:
@@ -31,9 +35,15 @@ class OccupancyGrid
      */
     explicit OccupancyGrid(int resolution = 64, float threshold = 0.01f);
 
+    /**
+     * A grid holding @p packed bits only (the layout of packedBits()).
+     * @p packed must hold at least bitfieldBytes() of the result.
+     */
+    static OccupancyGrid fromPackedBits(int resolution, std::span<const std::uint8_t> packed);
+
     int resolution() const { return res_; }
     float threshold() const { return threshold_; }
-    std::size_t cellCount() const { return density_.size(); }
+    std::size_t cellCount() const { return occupied_.size(); }
 
     /** Linear index of the cell containing @p pos (pos in [0,1]^3). */
     std::size_t cellIndex(const Vec3f &pos) const;
@@ -95,6 +105,18 @@ class OccupancyGrid
     /** Occupancy bitfield size in bytes (1 bit per cell). */
     std::size_t bitfieldBytes() const { return (cellCount() + 7) / 8; }
 
+    /** Bytes this grid keeps resident: the bitfield, plus the density
+     *  estimates once an update has allocated them. */
+    std::size_t
+    residentBytes() const
+    {
+        return bitfieldBytes() + density_.size() * sizeof(float);
+    }
+
+    /** The bitfield packed LSB-first: cell i is bit i % 8 of byte i / 8,
+     *  and the padding bits of the last byte are zero. */
+    std::vector<std::uint8_t> packedBits() const;
+
     /** One contiguous occupied interval along a traversed ray. */
     struct Interval
     {
@@ -120,8 +142,25 @@ class OccupancyGrid
   private:
     int res_;
     float threshold_;
+    /** EMA estimates; empty until the first applyDensities. */
     std::vector<float> density_;
     std::vector<bool> occupied_;
+};
+
+/**
+ * The occupancy gate a point model carries with its weights. PointPipeline
+ * trains it, saveModel writes it into the model's artifact, and the serve
+ * layer renders through it, so a deployed model skips the space it learned
+ * was empty. NerfModel, FreqNerfModel and TensorfModel all inherit it.
+ */
+class OccupancyGated
+{
+  public:
+    OccupancyGrid &occupancy() { return occupancy_; }
+    const OccupancyGrid &occupancy() const { return occupancy_; }
+
+  private:
+    OccupancyGrid occupancy_;
 };
 
 } // namespace fusion3d::nerf

@@ -16,6 +16,9 @@
  *   static constexpr float kLrFactors, kLrNet;        // config defaults
  *   static constexpr std::uint64_t kPipelineSeed;     // config default
  *   ModelT(const Config &, std::uint64_t seed);
+ *   // The occupancy gate, inherited from OccupancyGated: the pipeline
+ *   // trains it and the artifact carries it.
+ *   OccupancyGrid &occupancy();
  *   // Scalar oracle, kept for tests (tests/ray_oracle.h); the
  *   // pipeline itself never calls these:
  *   PointEval forwardPoint(const Vec3f &pos, const Vec3f &dir);
@@ -93,16 +96,18 @@ class PointPipeline : public RadianceField
     explicit PointPipeline(const Config &cfg)
         : cfg_(cfg),
           model_(std::make_unique<ModelT>(cfg.model, cfg.seed)),
-          grid_(cfg.occupancyResolution, cfg.occupancyThreshold),
           sampler_(cfg.sampler)
     {
+        model_->occupancy() = OccupancyGrid(cfg.occupancyResolution, cfg.occupancyThreshold);
     }
 
     const Config &config() const { return cfg_; }
     ModelT &model() { return *model_; }
     const ModelT &model() const { return *model_; }
-    OccupancyGrid &grid() { return grid_; }
-    const OccupancyGrid &grid() const { return grid_; }
+    /** The occupancy gate this pipeline trains: the model's own, so it
+     *  travels with the model into its artifact. */
+    OccupancyGrid &grid() { return model_->occupancy(); }
+    const OccupancyGrid &grid() const { return model_->occupancy(); }
 
     /**
      * Batch-native override: Stage I samples every ray into one CSR
@@ -117,7 +122,7 @@ class PointPipeline : public RadianceField
               std::span<RayEval> out, RayWorkload *workload = nullptr) override
     {
         eval_.traceRays(
-            sampler_, &grid_, cfg_.render, rays,
+            sampler_, &grid(), cfg_.render, rays,
             [&rng](std::size_t) -> Pcg32 & { return rng; }, record, out, workload,
             pool_, /*t_far=*/std::nullopt, [&](SampleBatch &batch) {
                 forwardSharded(batch.positions, batch.dirs, batch.sigmas, batch.rgbs);
@@ -151,10 +156,10 @@ class PointPipeline : public RadianceField
     void
     updateOccupancy(Pcg32 &rng) override
     {
-        grid_.collectProbePositions(rng, occ_positions_);
+        grid().collectProbePositions(rng, occ_positions_);
         occ_densities_.resize(occ_positions_.size());
         queryDensitySharded(occ_positions_, occ_densities_);
-        grid_.applyDensities(occ_densities_);
+        grid().applyDensities(occ_densities_);
     }
 
     void quantizeWeights() override { model_->quantizeWeights(); }
@@ -175,7 +180,7 @@ class PointPipeline : public RadianceField
         tcfg.render = cfg_.render;
         tcfg.seed = seed;
         const PointServeField<ModelT> field(*model_);
-        out = renderImageTiled(field, &grid_, camera, tcfg, pool_);
+        out = renderImageTiled(field, &grid(), camera, tcfg, pool_);
     }
 
   protected:
@@ -296,7 +301,6 @@ class PointPipeline : public RadianceField
 
     Config cfg_;
     std::unique_ptr<ModelT> model_;
-    OccupancyGrid grid_;
     RaySampler sampler_;
 
     /** Stage I/III machinery: batch build, compositing, tape. */

@@ -28,7 +28,7 @@ namespace
 {
 
 constexpr char kMagic[4] = {'F', '3', 'D', 'M'};
-constexpr std::uint32_t kVersion = 5;
+constexpr std::uint32_t kVersion = 6;
 /** Magic, version, backend tag and quant mode. */
 constexpr std::size_t kPrefixBytes = 16;
 
@@ -133,10 +133,21 @@ template <class ModelT>
 constexpr std::size_t kBlocks = std::tuple_size_v<decltype(Layout<ModelT>::blocks(
     std::declval<const ModelT &>()))>;
 
-/** Bytes before the payload: prefix, both counted arrays and the CRC. */
+/** Bytes before the payload: prefix, both counted arrays, the gate
+ *  resolution and the CRC. */
 template <class ModelT>
 constexpr std::size_t kHeaderBytes =
-    kPrefixBytes + 4 + 4 * std::tuple_size_v<Words<ModelT>> + 4 + 8 * kBlocks<ModelT> + 4;
+    kPrefixBytes + 4 + 4 * std::tuple_size_v<Words<ModelT>> + 4 + 8 * kBlocks<ModelT> + 4 + 4;
+
+/** Bitfield bytes of a gate of @p resolution cells per axis; saturates
+ *  for resolutions no file could hold (the cube would overflow). */
+std::uint64_t
+gateBytes(std::uint64_t resolution)
+{
+    if (resolution > (std::uint64_t{1} << 21))
+        return UINT64_MAX;
+    return (resolution * resolution * resolution + 7) / 8;
+}
 
 template <class ModelT>
 Words<ModelT>
@@ -216,9 +227,12 @@ writeArtifact(std::FILE *f, const ModelT &model, bool torn)
     append(head, static_cast<std::uint32_t>(blocks.size()));
     for (const auto block : blocks)
         append(head, static_cast<std::uint64_t>(block.size()));
+    const std::vector<std::uint8_t> gate = model.occupancy().packedBits();
+    append(head, static_cast<std::uint32_t>(model.occupancy().resolution()));
     std::uint32_t crc = crc32Update(0, head.data() + 8, head.size() - 8);
     for (const auto block : blocks)
         crc = crc32Update(crc, block.data(), block.size_bytes());
+    crc = crc32Update(crc, gate.data(), gate.size());
     append(head, crc);
 
     bool ok = std::fwrite(head.data(), 1, head.size(), f) == head.size();
@@ -230,7 +244,7 @@ writeArtifact(std::FILE *f, const ModelT &model, bool torn)
         if (torn)
             return false;
     }
-    return ok;
+    return ok && std::fwrite(gate.data(), 1, gate.size(), f) == gate.size();
 }
 
 /** The rest of an artifact whose @p prefix names ModelT's backend. */
@@ -255,6 +269,7 @@ readArtifact(std::FILE *f, std::uint64_t file_size,
     std::array<std::uint64_t, kBlocks<ModelT>> lengths;
     for (std::uint64_t &n : lengths)
         n = take<std::uint64_t>(p);
+    const std::uint32_t gate_res = take<std::uint32_t>(p);
     const std::uint32_t stored_crc = take<std::uint32_t>(p);
 
     if (word_count != words.size() || block_count != lengths.size() ||
@@ -268,14 +283,20 @@ readArtifact(std::FILE *f, std::uint64_t file_size,
     if (const char *why = cfg.invalidReason())
         return {nullptr, LoadStatus::headerMismatch,
                 strprintf("'%s' declares an invalid %s: %s", path.c_str(), backend, why)};
+    if (gate_res == 0)
+        return {nullptr, LoadStatus::headerMismatch,
+                strprintf("'%s' declares an occupancy gate of resolution 0", path.c_str())};
     // Every allocation is bounded by the file: a header may not imply
-    // more parameters than its payload holds.
+    // more parameters and gate bits than its payload holds.
     const std::uint64_t payload_bytes =
         file_size > kHeaderBytes<ModelT> ? file_size - kHeaderBytes<ModelT> : 0;
-    if (cfg.paramCount() > payload_bytes / sizeof(float))
+    const std::uint64_t gate_bytes = gateBytes(gate_res);
+    if (cfg.paramCount() > payload_bytes / sizeof(float) ||
+        gate_bytes > payload_bytes - cfg.paramCount() * sizeof(float))
         return {nullptr, LoadStatus::truncated,
-                strprintf("'%s' declares %zu parameters in %llu payload bytes",
-                          path.c_str(), cfg.paramCount(),
+                strprintf("'%s' declares %zu parameters and a %u^3 occupancy gate in "
+                          "%llu payload bytes",
+                          path.c_str(), cfg.paramCount(), gate_res,
                           static_cast<unsigned long long>(payload_bytes))};
 
     auto model = std::make_unique<ModelT>(cfg);
@@ -289,18 +310,23 @@ readArtifact(std::FILE *f, std::uint64_t file_size,
     bool ok = !F3D_FAULT_POINT("nerf.load.read");
     for (const auto block : blocks)
         ok = ok && std::fread(block.data(), sizeof(float), block.size(), f) == block.size();
+    std::vector<std::uint8_t> gate(static_cast<std::size_t>(gate_bytes));
+    ok = ok && std::fread(gate.data(), 1, gate.size(), f) == gate.size();
     if (!ok)
         return {nullptr, LoadStatus::truncated,
-                strprintf("'%s' ends before its parameter blocks do", path.c_str())};
+                strprintf("'%s' ends before its parameter blocks and occupancy gate do",
+                          path.c_str())};
 
     // The payload arrived whole; now prove the artifact arrived intact.
     std::uint32_t crc = crc32Update(0, prefix.data() + 8, kPrefixBytes - 8);
     crc = crc32Update(crc, rest.data(), rest.size() - sizeof(stored_crc));
     for (const auto block : blocks)
         crc = crc32Update(crc, block.data(), block.size_bytes());
+    crc = crc32Update(crc, gate.data(), gate.size());
     if (crc != stored_crc || F3D_FAULT_POINT("nerf.load.crc"))
         return {nullptr, LoadStatus::badChecksum,
                 strprintf("'%s' fails its CRC-32", path.c_str())};
+    model->occupancy() = OccupancyGrid::fromPackedBits(static_cast<int>(gate_res), gate);
 
     // Rebuild the packed image the saver held (the stored dequantized
     // values requantize to the same bits and scales), then drop the
@@ -371,7 +397,8 @@ template <class ModelT>
 std::size_t
 modelFootprintBytes(const ModelT &model)
 {
-    return kHeaderBytes<ModelT> + model.paramCount() * sizeof(float);
+    return kHeaderBytes<ModelT> + model.paramCount() * sizeof(float) +
+           model.occupancy().bitfieldBytes();
 }
 
 template bool saveModel(const NerfModel &, const std::string &);
@@ -467,6 +494,7 @@ loadInto(NerfModel &dst, const NerfModel &src)
     }
     for (std::size_t i = 0; i < from.size(); ++i)
         std::copy(from[i].begin(), from[i].end(), to[i].begin());
+    dst.occupancy() = src.occupancy();
     return true;
 }
 

@@ -4,12 +4,20 @@
  * small NeRF footprint (~10 MB) for transmission over the bandwidth-
  * constrained edge link; this is the writer/reader for that artifact.
  *
- * One layout (v5, little-endian) serves every backend and quant mode:
+ * One layout (v6, little-endian) serves every backend and quant mode:
  *
- *   "F3DM" | u32 version = 5 | u32 BackendKind | u32 QuantMode |
+ *   "F3DM" | u32 version = 6 | u32 BackendKind | u32 QuantMode |
  *   u32 word count | 4-byte architecture words |
  *   u32 block count | u64 block lengths (floats) |
- *   u32 CRC-32 | fp32 parameter blocks
+ *   u32 gate resolution | u32 CRC-32 | fp32 parameter blocks |
+ *   gate bitfield
+ *
+ * The gate block is the model's occupancy gate (OccupancyGated), the one
+ * training learned: its resolution R in the header and R^3 occupancy
+ * bits after the parameters, packed as OccupancyGrid::packedBits() does
+ * ((R^3 + 7) / 8 bytes). The reader restores the bits only, not the
+ * density estimates behind them, so a served model renders through
+ * exactly the gate it was trained with.
  *
  * The CRC covers every byte from the backend tag up to the CRC field,
  * then the payload, so a flipped architecture word is caught even when
@@ -95,8 +103,8 @@ struct LoadResult
  * Load any .f3dm artifact as a ServeableField of the backend its tag
  * names, reporting *why* a failure happened. Every input ends in a
  * LoadStatus: the header is validated with each model's own config
- * rule, and a header that implies more parameters than the file holds
- * is rejected before anything is allocated.
+ * rule, and a header that implies more parameters or gate bits than the
+ * file holds is rejected before anything is allocated.
  */
 LoadResult loadFieldVerbose(const std::string &path);
 
@@ -108,9 +116,9 @@ LoadResult loadFieldVerbose(const std::string &path);
 std::unique_ptr<ServeableField> loadField(const std::string &path);
 
 /**
- * Copy all parameters of @p src into @p dst (encoding and both MLPs).
- * The deployment example uses this to install deserialized weights
- * into a live pipeline.
+ * Copy all parameters of @p src into @p dst (encoding and both MLPs),
+ * and its occupancy gate. The deployment example uses this to install a
+ * deserialized model into a live pipeline.
  * @return false (and copy nothing) if any parameter-block size differs.
  */
 bool loadInto(NerfModel &dst, const NerfModel &src);

@@ -25,6 +25,7 @@
 #include "nerf/adam.h"
 #include "nerf/field.h"
 #include "nerf/mlp.h"
+#include "nerf/occupancy_grid.h"
 #include "nerf/nerf_model.h"
 #include "nerf/point_pipeline.h"
 
@@ -67,6 +68,7 @@ struct TensorfModelConfig
     const char *invalidReason() const;
     /** Parameter count of a model built from this (valid) config. */
     std::size_t paramCount() const;
+    bool operator==(const TensorfModelConfig &) const = default;
 };
 
 /**
@@ -101,7 +103,7 @@ struct TensorfBatchWorkspace
 };
 
 /** The CP-factorized point model. */
-class TensorfModel
+class TensorfModel : public OccupancyGated
 {
   public:
     using Config = TensorfModelConfig;

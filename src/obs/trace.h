@@ -205,13 +205,19 @@ class Tracer
   private:
     struct ThreadBuffer
     {
-        explicit ThreadBuffer(std::uint32_t tid_) : tid(tid_)
+        explicit ThreadBuffer(std::uint32_t tid_)
+            : tid(tid_), events(std::allocator<TraceEvent>().allocate(kThreadCapacity))
         {
-            events.resize(kThreadCapacity);
         }
+        ~ThreadBuffer() { std::allocator<TraceEvent>().deallocate(events, kThreadCapacity); }
+        ThreadBuffer(const ThreadBuffer &) = delete;
+        ThreadBuffer &operator=(const ThreadBuffer &) = delete;
 
         std::uint32_t tid;
-        std::vector<TraceEvent> events;
+        /** kThreadCapacity slots, left unwritten until a span fills them:
+         *  a thread touches only the pages it records into, instead of
+         *  zero-filling the whole buffer on its first span. */
+        TraceEvent *events;
         /** Published event count: slots < size are immutable. */
         std::atomic<std::size_t> size{0};
     };

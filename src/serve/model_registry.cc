@@ -8,7 +8,6 @@
 
 #include "common/fault.h"
 #include "common/logging.h"
-#include "common/rng.h"
 #include "obs/trace.h"
 
 namespace fusion3d::serve
@@ -28,21 +27,8 @@ breakerStateName(BreakerState state)
     return "?";
 }
 
-ModelRegistry::ModelRegistry(int occupancy_resolution, float occupancy_threshold)
-    : ModelRegistry([&] {
-          RegistryConfig cfg;
-          cfg.occupancyResolution = occupancy_resolution;
-          cfg.occupancyThreshold = occupancy_threshold;
-          return cfg;
-      }())
-{
-}
-
 ModelRegistry::ModelRegistry(const RegistryConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.occupancyResolution < 1)
-        fatal("ModelRegistry: occupancy resolution must be positive, got %d",
-              cfg_.occupancyResolution);
     if (cfg_.loadMaxAttempts < 1)
         fatal("ModelRegistry: loadMaxAttempts must be >= 1, got %d",
               cfg_.loadMaxAttempts);
@@ -151,35 +137,16 @@ ModelRegistry::addInternal(const std::string &name,
     if (!field)
         fatal("ModelRegistry::add('%s'): null model", name.c_str());
 
-    auto entry = std::make_shared<ModelEntry>(
-        name, std::move(field), cfg_.occupancyResolution, cfg_.occupancyThreshold);
+    auto entry = std::make_shared<ModelEntry>(name, std::move(field));
 
-    // Quantize before the gate rebuild so the gate is derived from the
-    // exact weights this entry will serve. Backends that don't support
-    // quantization (applyQuantMode false) keep serving fp32.
+    // Backends that don't support quantization (applyQuantMode false)
+    // keep serving fp32. The gate stays the one the model trained.
     if (cfg_.quantMode != QuantMode::fp32)
         entry->model->applyQuantMode(cfg_.quantMode);
     entry->quant = entry->model->quantMode();
-
-    // Rebuild the inference gate from the deployed weights; decay 0
-    // makes it exactly the current field's occupancy, like the benches'
-    // scene bootstrap. The fixed seed keeps the gate — and therefore a
-    // reloaded model's renders — bit-identical across reloads. The
-    // probe jitters draw serially in cell order (the same rng stream
-    // the scalar grid.update consumed), then one backend-polymorphic
-    // density batch evaluates them: per probe bit-exact with the
-    // backend's scalar density query.
-    Pcg32 rng(0x5eedf00dULL, 41);
-    std::vector<Vec3f> probes;
-    entry->grid.collectProbePositions(rng, probes);
-    std::vector<float> densities(probes.size());
-    entry->model->evalDensityBatch(probes, densities);
-    entry->grid.applyDensities(densities, /*decay=*/0.0f);
     entry->sourcePath = source_path;
     entry->bytes = sizeof(ModelEntry) + name.size() + source_path.size() +
-                   entry->model->residentBytes() +
-                   entry->grid.cellCount() * sizeof(float) +
-                   entry->grid.bitfieldBytes();
+                   entry->model->residentBytes() + entry->grid.residentBytes();
 
     const ModelEntry *raw = entry.get();
     std::shared_ptr<ModelEntry> replaced; // released outside the lock

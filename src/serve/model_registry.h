@@ -3,9 +3,10 @@
  * Registry of deployed models, scaled to a *fleet*. Owns the
  * deserialized `.f3dm` radiance fields keyed by name — any backend
  * behind the ServeableField interface: hash-grid, FreqNeRF, TensoRF —
- * each paired with an occupancy gate rebuilt from its own density
- * field at registration time, after which an entry is immutable, so
- * render workers share it without locks. Every fleet mechanism below
+ * each serving through the occupancy gate its model was trained with
+ * (carried in the `.f3dm` artifact, or by the in-memory model). An entry
+ * is immutable once registered, so render workers share it without
+ * locks. Every fleet mechanism below
  * (eviction, reload, breaker, hot-swap) is backend-agnostic: it sees
  * only the field interface and the artifact path.
  *
@@ -80,14 +81,17 @@ struct ModelEntry
 {
     std::string name;
     std::unique_ptr<nerf::ServeableField> model;
-    nerf::OccupancyGrid grid;
+    /** The field's own gate (ServeableField::occupancy): the one its
+     *  model was trained with. Render call sites pass `&entry->grid`. */
+    const nerf::OccupancyGrid &grid;
     /** Deploy generation of this name: 1 on first add, bumped by every
      *  replacement (hot-swap), eviction, and removal. Cached artifacts
      *  derived from a model — session frames in the reprojection cache
      *  above all — carry the epoch and go stale when it moves. */
     std::uint64_t epoch = 0;
-    /** Approximate resident bytes (weights + gate); the unit of the
-     *  registry's memory-budget accounting. */
+    /** Approximate resident bytes (weights + gate bits, plus density
+     *  estimates if the gate holds any); the unit of the registry's
+     *  memory-budget accounting. */
     std::size_t bytes = 0;
     /** Artifact this entry was deserialized from; empty for in-memory
      *  add()s. Only artifact-backed entries are evictable, because
@@ -97,9 +101,8 @@ struct ModelEntry
      *  when the backend supports it, else fp32). */
     QuantMode quant = QuantMode::fp32;
 
-    ModelEntry(std::string n, std::unique_ptr<nerf::ServeableField> m,
-               int grid_res, float grid_threshold)
-        : name(std::move(n)), model(std::move(m)), grid(grid_res, grid_threshold)
+    ModelEntry(std::string n, std::unique_ptr<nerf::ServeableField> m)
+        : name(std::move(n)), model(std::move(m)), grid(model->occupancy())
     {
     }
 };
@@ -137,13 +140,9 @@ struct AcquireResult
     bool reloaded = false;
 };
 
-/** Registry configuration: gate parameters plus deploy hardening. */
+/** Registry configuration: deploy hardening, budget and serving format. */
 struct RegistryConfig
 {
-    /** Gate resolution of registered models. */
-    int occupancyResolution = 48;
-    /** Density above which a gate cell is live. */
-    float occupancyThreshold = 0.01f;
     /** Load attempts per addFromFile call (>= 1). */
     int loadMaxAttempts = 3;
     /** Delay before the first retry; doubles (multiplier) per retry. */
@@ -170,9 +169,9 @@ struct RegistryConfig
      * Numeric format registered fields serve in. Non-fp32 modes build
      * packed weight images at deploy time and release the fp32 masters
      * (fp16 ~2x, int8 ~4x lower resident bytes — so the same budget
-     * holds proportionally more of the fleet), applied *before* the
-     * occupancy-gate rebuild so the gate matches the served weights.
-     * Backends without quantization support keep serving fp32.
+     * holds proportionally more of the fleet). The entry keeps the
+     * occupancy gate the fp32 model was trained with. Backends without
+     * quantization support keep serving fp32.
      */
     QuantMode quantMode = QuantMode::fp32;
 };
@@ -181,11 +180,7 @@ struct RegistryConfig
 class ModelRegistry
 {
   public:
-    /** Gate-parameter shorthand for RegistryConfig defaults. */
-    explicit ModelRegistry(int occupancy_resolution = 48,
-                           float occupancy_threshold = 0.01f);
-
-    explicit ModelRegistry(const RegistryConfig &cfg);
+    explicit ModelRegistry(const RegistryConfig &cfg = {});
 
     ~ModelRegistry();
 
@@ -193,8 +188,8 @@ class ModelRegistry
     ModelRegistry &operator=(const ModelRegistry &) = delete;
 
     /**
-     * Register @p model under @p name, building its occupancy gate
-     * from the model's density field. Replaces an existing entry of
+     * Register @p model under @p name, serving through the model's own
+     * occupancy gate. Replaces an existing entry of
      * the same name (the old entry drains with its pins). In-memory
      * entries are exempt from eviction; adding one may still evict
      * *other* artifact-backed entries to make room.
@@ -312,7 +307,7 @@ class ModelRegistry
         std::list<std::string>::iterator lruPos;
     };
 
-    /** Shared body of add()/addFromFile(): build the entry (gate +
+    /** Shared body of add()/addFromFile(): build the entry (quant mode +
      *  byte accounting) outside the lock, publish it under the lock,
      *  then evict to budget. Empty @p source_path = in-memory deploy
      *  (forgets any remembered artifact for the name). */

@@ -69,7 +69,6 @@ class ChaosServeTest : public ::testing::Test
     fastRegistryConfig()
     {
         RegistryConfig rc;
-        rc.occupancyResolution = 8;
         rc.backoffInitialMs = 0.1;
         rc.backoffMaxMs = 1.0;
         return rc;
@@ -170,7 +169,7 @@ TEST_F(ChaosServeTest, HalfOpenProbeFailureReopensBreaker)
 
 TEST_F(ChaosServeTest, WorkerExceptionIsTerminalOutcome)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
 
     ServeConfig sc;
@@ -199,7 +198,7 @@ TEST_F(ChaosServeTest, WorkerExceptionIsTerminalOutcome)
 
 TEST_F(ChaosServeTest, ChaosMixEveryRequestTerminatesReplayably)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
 
     constexpr int kRequests = 40;
@@ -279,7 +278,7 @@ TEST_F(ChaosServeTest, ChaosMixEveryRequestTerminatesReplayably)
 
 TEST_F(ChaosServeTest, StopShedsQueuedBacklogPromptly)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
 
     // Every render stalls 20 ms and only one runs at a time, so the

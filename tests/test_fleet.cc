@@ -91,7 +91,6 @@ RegistryConfig
 fleetRegistryConfig(std::size_t budget_bytes)
 {
     RegistryConfig rc;
-    rc.occupancyResolution = 8;
     rc.backoffInitialMs = 0.1;
     rc.backoffMaxMs = 1.0;
     rc.memoryBudgetBytes = budget_bytes;
@@ -257,8 +256,8 @@ TEST(FleetBudget, EvictedThenReloadedModelRendersBitIdentically)
         nerf::renderImageTiled(*r.entry->model, &r.entry->grid, cam, rc, nullptr);
     EXPECT_TRUE(imagesIdentical(before, after))
         << "reload-from-artifact must reproduce the original render bit "
-           "for bit (weights CRC-checked, occupancy gate rebuilt with a "
-           "fixed seed)";
+           "for bit (weights and occupancy gate CRC-checked from the "
+           "artifact)";
 }
 
 /** Save a tiny TensoRF artifact (weights from @p seed). */

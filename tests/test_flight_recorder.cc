@@ -386,7 +386,7 @@ TEST_F(FlightRecorderTest, WorkerExceptionTriggersDumpWithRequestSpans)
     ASSERT_TRUE(FaultInjector::instance().configureFromSpec(
         "serve.dispatch.throw=once"));
 
-    serve::ModelRegistry registry(/*occupancy_resolution=*/8);
+    serve::ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 7));
     serve::ServeConfig sc;
     sc.renderThreads = 1;
@@ -413,7 +413,7 @@ TEST_F(FlightRecorderTest, WorkerExceptionTriggersDumpWithRequestSpans)
 
 TEST_F(FlightRecorderTest, ForcedSloBreachDumpsFlightRecorder)
 {
-    serve::ModelRegistry registry(/*occupancy_resolution=*/8);
+    serve::ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 7));
     serve::ServeConfig sc;
     sc.renderThreads = 1;
@@ -449,7 +449,7 @@ TEST_F(FlightRecorderTest, TracedServerRequestsReassembleWithCoverage)
     obs::Tracer &tracer = obs::Tracer::instance();
     tracer.setEnabled(true);
 
-    serve::ModelRegistry registry(/*occupancy_resolution=*/8);
+    serve::ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 7));
     serve::ServeConfig sc;
     sc.renderThreads = 2;

@@ -2,7 +2,9 @@
  *  MoE partitions space, and the trainer's quantization hook bites. */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -450,6 +452,53 @@ TEST(Moe, TraceRaysMatchesPerRayWithoutJitter)
         EXPECT_EQ(evals[r].samples, ref.samples);
         EXPECT_EQ(evals[r].firstHitT, ref.firstHitT);
     }
+}
+
+TEST(Moe, InferenceRenderBetweenTraceAndBackwardLeavesTheTape)
+{
+    // trace(record) -> renderView -> backward -> step must train exactly
+    // as trace(record) -> backward -> step: the render's record=false
+    // traces may not replace the recorded fusion weights.
+    MoeConfig mc;
+    mc.numExperts = 2;
+    mc.expert = tinyPipeline();
+    const Camera cam = Camera::orbit({0.5f, 0.5f, 0.5f}, 1.4f, 35.0f, 20.0f, 45.0f, 16, 16);
+    std::vector<Ray> rays;
+    for (int i = 0; i < 12; ++i)
+        rays.push_back(cam.rayForPixel(i, 3 + i / 2));
+
+    const auto trainStep = [&](bool render_between) {
+        MoeNerf moe(mc);
+        Pcg32 rng(23);
+        std::vector<RayEval> evals(rays.size());
+        moe.zeroGrads();
+        moe.traceRays(rays, rng, /*record=*/true, evals);
+        std::vector<Vec3f> dcolors(rays.size());
+        for (std::size_t r = 0; r < rays.size(); ++r)
+            dcolors[r] = evals[r].color - Vec3f(0.25f, 0.5f, 0.75f);
+        if (render_between) {
+            Image img;
+            moe.renderView(cam, /*seed=*/9, img);
+        }
+        moe.backwardRays(dcolors);
+        moe.optimizerStep();
+        std::vector<float> weights;
+        for (int k = 0; k < moe.numExperts(); ++k) {
+            const NerfModel &m = moe.expert(k).model();
+            for (const std::span<const float> block :
+                 {m.encoding().params(), m.densityNet().params(), m.colorNet().params()})
+                weights.insert(weights.end(), block.begin(), block.end());
+        }
+        return weights;
+    };
+
+    const std::vector<float> plain = trainStep(false);
+    const std::vector<float> rendered = trainStep(true);
+    ASSERT_EQ(plain.size(), rendered.size());
+    for (std::size_t i = 0; i < plain.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(plain[i]),
+                  std::bit_cast<std::uint32_t>(rendered[i]))
+            << "weight " << i;
 }
 
 TEST(Moe, TrainsOnToyScene)

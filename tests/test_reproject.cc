@@ -214,7 +214,7 @@ class ReprojectRenderTest : public ::testing::Test
     SetUp() override
     {
         FaultInjector::instance().reset();
-        registry_ = std::make_unique<ModelRegistry>(/*occupancy_resolution=*/8);
+        registry_ = std::make_unique<ModelRegistry>();
         registry_->add("m",
                        std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
         entry_ = registry_->find("m");
@@ -489,7 +489,7 @@ class ReprojectServerTest : public ::testing::Test
     SetUp() override
     {
         FaultInjector::instance().reset();
-        registry_ = std::make_unique<ModelRegistry>(/*occupancy_resolution=*/8);
+        registry_ = std::make_unique<ModelRegistry>();
         registry_->add("m",
                        std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
         sc_.renderThreads = 2;

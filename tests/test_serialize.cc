@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +25,7 @@
 #include "nerf/field.h"
 #include "nerf/freq_nerf.h"
 #include "nerf/nerf_model.h"
+#include "nerf/occupancy_grid.h"
 #include "nerf/serialize.h"
 #include "nerf/tensorf.h"
 
@@ -31,7 +34,7 @@ namespace fusion3d::nerf
 namespace
 {
 
-// Offsets of the fixed fields of the v5 layout (serialize.h).
+// Offsets of the fixed fields of the v6 layout (serialize.h).
 constexpr std::size_t kVersionOffset = 4;
 constexpr std::size_t kKindOffset = 8;
 constexpr std::size_t kQuantOffset = 12;
@@ -131,13 +134,44 @@ setU32At(std::vector<unsigned char> &bytes, std::size_t offset, std::uint32_t v)
     std::memcpy(bytes.data() + offset, &v, sizeof(v));
 }
 
-/** Header bytes of a v5 artifact, read from its own word/block counts. */
+/** Header bytes of a v6 artifact, read from its own word/block counts. */
 std::size_t
 headerBytes(const std::vector<unsigned char> &bytes)
 {
     const std::size_t words = u32At(bytes, kWordCountOffset);
     const std::size_t blocks_at = kWordsOffset + 4 * words;
-    return blocks_at + 4 + 8 * u32At(bytes, blocks_at) + 4;
+    return blocks_at + 4 + 8 * u32At(bytes, blocks_at) + 4 + 4;
+}
+
+/** Offset of the gate-resolution word: the last word before the CRC. */
+std::size_t
+gateResolutionOffset(const std::vector<unsigned char> &bytes)
+{
+    return headerBytes(bytes) - 8;
+}
+
+/** Bytes of the gate bitfield, the artifact's last block. */
+std::size_t
+gateBlockBytes(const std::vector<unsigned char> &bytes)
+{
+    const std::size_t res = u32At(bytes, gateResolutionOffset(bytes));
+    return (res * res * res + 7) / 8;
+}
+
+/** A 12^3 gate with the x < 0.4 slab pruned, as training would leave it. */
+OccupancyGrid
+prunedGate()
+{
+    OccupancyGrid gate(12);
+    gate.maskRegion([](const Vec3f &p) { return p.x >= 0.4f; });
+    return gate;
+}
+
+void
+expectSameGate(const OccupancyGrid &want, const OccupancyGrid &got)
+{
+    EXPECT_EQ(want.resolution(), got.resolution());
+    EXPECT_EQ(want.packedBits(), got.packedBits());
 }
 
 void
@@ -201,7 +235,8 @@ paramBlocks(const TensorfModel &m)
 struct Backend
 {
     std::string name;
-    /** A field owning a fresh model with weights from the seed. */
+    /** A field owning a fresh model with weights from the seed and
+     *  prunedGate() as its occupancy gate. */
     std::function<std::unique_ptr<ServeableField>(std::uint64_t)> make;
     /** saveModel (or saveModelAtomic) of the field's model. */
     std::function<bool(const ServeableField &, const std::string &, bool)> save;
@@ -223,8 +258,9 @@ backend(std::string name, typename ModelT::Config cfg,
     Backend b;
     b.name = std::move(name);
     b.make = [cfg, mode](std::uint64_t seed) -> std::unique_ptr<ServeableField> {
-        auto field =
-            std::make_unique<PointServeField<ModelT>>(std::make_unique<ModelT>(cfg, seed));
+        auto model = std::make_unique<ModelT>(cfg, seed);
+        model->occupancy() = prunedGate();
+        auto field = std::make_unique<PointServeField<ModelT>>(std::move(model));
         if (mode != QuantMode::fp32) {
             EXPECT_TRUE(field->applyQuantMode(mode));
         }
@@ -240,8 +276,8 @@ backend(std::string name, typename ModelT::Config cfg,
     return b;
 }
 
-/** Every parameter of every block matches bit for bit, and the two
- *  fields evaluate identically. */
+/** Every parameter of every block and every gate bit matches, and the
+ *  two fields evaluate identically. */
 void
 expectSameModel(const Backend &b, const ServeableField &want, const ServeableField &got)
 {
@@ -252,6 +288,7 @@ expectSameModel(const Backend &b, const ServeableField &want, const ServeableFie
         SCOPED_TRACE(testing::Message() << "block " << i);
         expectSpansEqual(want_blocks[i], got_blocks[i]);
     }
+    expectSameGate(want.occupancy(), got.occupancy());
     expectFieldsEvalIdentical(want, got);
 }
 
@@ -349,6 +386,20 @@ TEST_P(Artifact, MutationSweepAlwaysEndsInADiagnosis)
         EXPECT_EQ(loadBytes(path, bytes), LoadStatus::badChecksum) << "payload byte " << at;
     }
 
+    // The gate block closes the file: a flip in every one of its bytes
+    // is a checksum failure, and every cut inside it is a truncation.
+    const std::size_t gate = gateBlockBytes(whole);
+    ASSERT_EQ(gate, prunedGate().bitfieldBytes());
+    const std::size_t gate_at = whole.size() - gate;
+    for (std::size_t at = gate_at; at < whole.size(); ++at) {
+        std::vector<unsigned char> bytes = whole;
+        bytes[at] ^= static_cast<unsigned char>(1u << (at % 8));
+        EXPECT_EQ(loadBytes(path, bytes), LoadStatus::badChecksum) << "gate byte " << at;
+        const std::vector<unsigned char> cut(whole.begin(),
+                                             whole.begin() + static_cast<std::ptrdiff_t>(at));
+        EXPECT_EQ(loadBytes(path, cut), LoadStatus::truncated) << "cut at " << at;
+    }
+
     // Every truncation inside the header, then 64 seeded payload cuts.
     for (std::size_t cut = 0; cut < header; ++cut) {
         const std::vector<unsigned char> bytes(whole.begin(), whole.begin() + cut);
@@ -422,17 +473,18 @@ TEST_P(Artifact, CrashDuringCheckpointNeverYieldsALoadableFile)
 INSTANTIATE_TEST_SUITE_P(EveryBackend, Artifact, testing::ValuesIn(allBackends()),
                          backendName);
 
-TEST(Serialize, V5PrefixIsPinnedAndOlderVersionsAreBadVersion)
+TEST(Serialize, V6PrefixIsPinnedAndOlderVersionsAreBadVersion)
 {
     // Golden-format guard on the fixed prefix of the layout.
-    const NerfModel model(tinyConfig(), /*seed=*/31);
-    const std::string path = tmpPath("v5prefix.f3dm");
+    NerfModel model(tinyConfig(), /*seed=*/31);
+    model.occupancy() = prunedGate();
+    const std::string path = tmpPath("v6prefix.f3dm");
     ASSERT_TRUE(saveModel(model, path));
     const std::vector<unsigned char> whole = readAll(path);
     ASSERT_EQ(whole.size(), modelFootprintBytes(model));
     const unsigned char prefix[] = {
         'F', '3', 'D', 'M', //
-        5, 0, 0, 0,         // version
+        6, 0, 0, 0,         // version
         0, 0, 0, 0,         // BackendKind::hashGrid
         0, 0, 0, 0,         // QuantMode::fp32
         9, 0, 0, 0,         // nine architecture words
@@ -441,10 +493,15 @@ TEST(Serialize, V5PrefixIsPinnedAndOlderVersionsAreBadVersion)
     for (std::size_t i = 0; i < sizeof(prefix); ++i)
         EXPECT_EQ(whole[i], prefix[i]) << "byte " << i;
     EXPECT_EQ(u32At(whole, kWordsOffset + 4 * 9), 3u); // three blocks
+    // The gate block: its resolution is the header's last word before
+    // the CRC, and its bitfield ends the file.
+    EXPECT_EQ(u32At(whole, gateResolutionOffset(whole)), 12u);
+    const std::vector<std::uint8_t> bits = prunedGate().packedBits();
+    EXPECT_TRUE(std::equal(bits.begin(), bits.end(), whole.end() - bits.size()));
 
-    // Artifacts of the retired layouts are refused by version, and the
-    // message names the version found.
-    for (const std::uint32_t old : {2u, 3u, 4u}) {
+    // Artifacts of the retired layouts (v5 had no gate block) are
+    // refused by version, and the message names the version found.
+    for (const std::uint32_t old : {2u, 3u, 4u, 5u}) {
         std::vector<unsigned char> bytes = whole;
         setU32At(bytes, kVersionOffset, old);
         writeAll(path, bytes);
@@ -487,6 +544,33 @@ TEST(Serialize, CraftedHeadersEndInAStatusNotACrash)
         EXPECT_NO_THROW(st = loadBytes(path, bytes));
         EXPECT_TRUE(st == LoadStatus::truncated || st == LoadStatus::headerMismatch)
             << loadStatusName(st);
+    }
+
+    // The gate block: a zero resolution is a header mismatch; a
+    // resolution whose bitfield outgrows the file (up to one whose cube
+    // overflows 64 bits) and a cut bitfield are truncations. None of
+    // them allocates the bitfield.
+    const std::size_t gate_res_at = gateResolutionOffset(whole);
+    {
+        std::vector<unsigned char> bytes = whole;
+        setU32At(bytes, gate_res_at, 0);
+        LoadStatus st = LoadStatus::ok;
+        EXPECT_NO_THROW(st = loadBytes(path, bytes));
+        EXPECT_EQ(st, LoadStatus::headerMismatch);
+    }
+    for (const std::uint32_t res : {400u, 65536u, 1u << 21, (1u << 21) + 1, 0xffffffffu}) {
+        std::vector<unsigned char> bytes = whole;
+        setU32At(bytes, gate_res_at, res);
+        LoadStatus st = LoadStatus::ok;
+        EXPECT_NO_THROW(st = loadBytes(path, bytes));
+        EXPECT_EQ(st, LoadStatus::truncated) << "gate resolution " << res;
+    }
+    {
+        const std::size_t gate = gateBlockBytes(whole);
+        ASSERT_GT(gate, 1u);
+        const std::vector<unsigned char> bytes(
+            whole.begin(), whole.end() - static_cast<std::ptrdiff_t>(gate / 2));
+        EXPECT_EQ(loadBytes(path, bytes), LoadStatus::truncated);
     }
 
     // A quant tag on a backend without quantization is a header
@@ -600,6 +684,17 @@ TEST(LoadInto, CopiesAllParameterBlocks)
     expectSpansEqual(src.encoding().params(), dst.encoding().params());
     expectSpansEqual(src.densityNet().params(), dst.densityNet().params());
     expectSpansEqual(src.colorNet().params(), dst.colorNet().params());
+}
+
+TEST(LoadInto, CopiesTheOccupancyGate)
+{
+    NerfModel src(tinyConfig(), /*seed=*/7);
+    src.occupancy() = prunedGate();
+    NerfModel dst(tinyConfig(), /*seed=*/8);
+    ASSERT_NE(dst.occupancy().packedBits(), src.occupancy().packedBits());
+
+    ASSERT_TRUE(loadInto(dst, src));
+    expectSameGate(src.occupancy(), dst.occupancy());
 }
 
 TEST(LoadInto, RejectsMismatchedArchitectures)

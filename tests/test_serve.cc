@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -20,6 +21,8 @@
 #include "nerf/serialize.h"
 #include "nerf/tensorf.h"
 #include "nerf/trainer.h"
+#include "scenes/dataset_gen.h"
+#include "scenes/factory.h"
 #include "ray_oracle.h"
 #include "serve/model_registry.h"
 #include "serve/reproject.h"
@@ -83,6 +86,40 @@ TEST(ParallelRender, TiledIsBitIdenticalToSingleThread)
     ThreadPool pool(3);
     const Image parallel = nerf::renderImageTiled(nerf::HashGridServeField(model), &grid, cam, rc, &pool);
     expectImagesIdentical(serial, parallel);
+}
+
+TEST(ParallelRender, ReusedWorkspaceIsBitExactAcrossModelConfigs)
+{
+    // A render thread reuses one batch workspace per backend and
+    // rebuilds it only for a model of another config: interleaving a
+    // small and a larger model on one thread must render each exactly
+    // as a thread that has seen only that model.
+    nerf::NerfModelConfig wide = tinyModelConfig();
+    wide.grid.levels = 6;
+    wide.densityHidden = 24;
+    const nerf::NerfModel small_model(tinyModelConfig(), /*seed=*/23);
+    const nerf::NerfModel wide_model(wide, /*seed=*/24);
+    const nerf::NerfModel small_twin(tinyModelConfig(), /*seed=*/25);
+    const nerf::Camera cam = testCamera(20);
+    nerf::TiledRenderConfig rc;
+    rc.sampler.maxSamplesPerRay = 16;
+
+    const auto render = [&](const nerf::NerfModel &m) {
+        return nerf::renderImageTiled(nerf::HashGridServeField(m), nullptr, cam, rc, nullptr);
+    };
+    const auto renderOnFreshThread = [&](const nerf::NerfModel &m) {
+        Image out;
+        std::thread([&] { out = render(m); }).join();
+        return out;
+    };
+
+    const Image small_ref = renderOnFreshThread(small_model);
+    const Image wide_ref = renderOnFreshThread(wide_model);
+    const Image twin_ref = renderOnFreshThread(small_twin);
+    expectImagesIdentical(render(small_model), small_ref);
+    expectImagesIdentical(render(wide_model), wide_ref);
+    expectImagesIdentical(render(small_twin), twin_ref);
+    expectImagesIdentical(render(small_model), small_ref);
 }
 
 TEST(ParallelRender, JitteredTilesAreThreadCountInvariant)
@@ -223,11 +260,12 @@ TEST(ParallelRender, DepthFrameMatchesScalarOracleTensorf)
 
 TEST(ModelRegistry, DeploysFromArtifactFile)
 {
-    const nerf::NerfModel model(tinyModelConfig(), /*seed=*/77);
+    nerf::NerfModel model(tinyModelConfig(), /*seed=*/77);
+    model.occupancy() = nerf::OccupancyGrid(8);
     const std::string path = testing::TempDir() + "registry_model.f3dm";
     ASSERT_TRUE(nerf::saveModel(model, path));
 
-    ModelRegistry registry(/*occupancy_resolution=*/8);
+    ModelRegistry registry;
     EXPECT_EQ(registry.addFromFile("hotdog", path), nerf::LoadStatus::ok);
     EXPECT_EQ(registry.size(), 1u);
 
@@ -242,9 +280,87 @@ TEST(ModelRegistry, DeploysFromArtifactFile)
     EXPECT_EQ(registry.size(), 1u);
 }
 
+TEST(ModelRegistry, ServesTheGateTheModelTrained)
+{
+    // Train a small pipeline, then prune part of its gate, so it is a
+    // gate no density pass over the weights would rebuild. Every deploy
+    // path must serve exactly that gate, and so render exactly what the
+    // pipeline renders.
+    const auto scene = scenes::makeSyntheticScene("mic");
+    scenes::DatasetConfig dc = scenes::syntheticRig(12);
+    dc.trainViews = 4;
+    dc.testViews = 1;
+    dc.reference.steps = 48;
+    const nerf::Dataset data = scenes::makeDataset(*scene, dc);
+
+    nerf::PipelineConfig pc;
+    pc.model = tinyModelConfig();
+    pc.sampler.maxSamplesPerRay = 16;
+    pc.occupancyResolution = 12;
+    nerf::NerfPipeline pipe(pc);
+    nerf::TrainerConfig tc;
+    tc.iterations = 8;
+    tc.raysPerBatch = 64;
+    tc.occupancyWarmup = 2;
+    tc.occupancyUpdateEvery = 2;
+    nerf::Trainer trainer(pipe, data, tc);
+    trainer.run();
+    pipe.grid().maskRegion([](const Vec3f &p) { return p.y >= 0.45f; });
+    ASSERT_GT(pipe.grid().occupiedFraction(), 0.0);
+    ASSERT_LT(pipe.grid().occupiedFraction(), 1.0);
+
+    const std::string path = testing::TempDir() + "trained_gate.f3dm";
+    ASSERT_TRUE(nerf::saveModel(pipe.model(), path));
+    ModelRegistry registry;
+    ASSERT_EQ(registry.addFromFile("file", path), nerf::LoadStatus::ok);
+    registry.add("field", nerf::loadField(path));
+    auto copy = std::make_unique<nerf::NerfModel>(tinyModelConfig(), /*seed=*/1);
+    ASSERT_TRUE(nerf::loadInto(*copy, pipe.model()));
+    registry.add("model", std::move(copy));
+
+    const std::uint64_t seed = 3;
+    const nerf::Camera cam = testCamera(24);
+    Image want;
+    pipe.renderView(cam, seed, want);
+    nerf::TiledRenderConfig rc;
+    rc.sampler = pc.sampler;
+    rc.sampler.jitter = false;
+    rc.render = pc.render;
+    rc.seed = seed;
+    ThreadPool pool(2);
+    // The pruned cells matter: an all-occupied gate renders differently.
+    const nerf::OccupancyGrid all_occupied(12);
+    const Image ungated = nerf::renderImageTiled(nerf::HashGridServeField(pipe.model()),
+                                                 &all_occupied, cam, rc, &pool);
+    ASSERT_NE(mse(want, ungated), 0.0);
+
+    for (const char *name : {"file", "field", "model"}) {
+        SCOPED_TRACE(name);
+        const ModelEntry *entry = registry.find(name);
+        ASSERT_NE(entry, nullptr);
+        EXPECT_EQ(entry->grid.resolution(), 12);
+        EXPECT_EQ(entry->grid.packedBits(), pipe.grid().packedBits());
+        expectImagesIdentical(
+            nerf::renderImageTiled(*entry->model, &entry->grid, cam, rc, &pool), want);
+    }
+
+    // A quantized entry packs its weights but keeps the gate the fp32
+    // model learned.
+    for (const QuantMode mode : {QuantMode::fp16, QuantMode::int8}) {
+        RegistryConfig qc;
+        qc.quantMode = mode;
+        ModelRegistry quantized(qc);
+        ASSERT_EQ(quantized.addFromFile("q", path), nerf::LoadStatus::ok);
+        const ModelEntry *entry = quantized.find("q");
+        ASSERT_NE(entry, nullptr);
+        EXPECT_EQ(entry->quant, mode);
+        EXPECT_EQ(entry->grid.packedBits(), pipe.grid().packedBits());
+    }
+}
+
 TEST(RenderServer, ServesFullResolutionBitExact)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
     const ModelEntry *entry = registry.find("m");
 
@@ -279,7 +395,7 @@ TEST(RenderServer, RequestIdsAreUniqueAcrossServers)
     // Request ids key trace trees, flight-recorder entries and SLO
     // windows, so two live servers in one process must never hand out
     // the same id.
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
     ServeConfig sc;
     sc.renderThreads = 1;
@@ -320,7 +436,7 @@ TEST(RenderServer, ServesTensorfArtifactEndToEnd)
     const std::string path = testing::TempDir() + "serve_tensorf.f3dm";
     ASSERT_TRUE(nerf::saveModel(model, path));
 
-    ModelRegistry registry(/*occupancy_resolution=*/8);
+    ModelRegistry registry;
     ASSERT_EQ(registry.addFromFile("vt", path), nerf::LoadStatus::ok);
     const ModelEntry *entry = registry.find("vt");
     ASSERT_NE(entry, nullptr);
@@ -345,7 +461,7 @@ TEST(RenderServer, ServesTensorfArtifactEndToEnd)
 
 TEST(RenderServer, RejectsUnknownModel)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     RenderServer server(registry, ServeConfig{});
     RenderRequest req;
     req.model = "ghost";
@@ -355,7 +471,7 @@ TEST(RenderServer, RejectsUnknownModel)
 
 TEST(RenderServer, ExpiredDeadlineIsShedNotBlocked)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
 
     ServeConfig sc;
@@ -402,7 +518,7 @@ deadlineRequest(const std::string &model, float azim,
 
 TEST(RenderServer, WarpRungServesSameEpochFrame)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
     RenderServer server(registry, warpRungConfig());
 
@@ -423,7 +539,7 @@ TEST(RenderServer, WarpRungServesSameEpochFrame)
 
 TEST(RenderServer, WarpRungNeverServesReplacedModel)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
     RenderServer server(registry, warpRungConfig());
     EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f, "viewer")).get().outcome,
@@ -444,7 +560,7 @@ TEST(RenderServer, WarpRungNeverServesReplacedModel)
 
 TEST(RenderServer, WarpRungNeverServesStatelessRequest)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
     RenderServer server(registry, warpRungConfig());
     EXPECT_EQ(server.submit(deadlineRequest("m", 35.0f)).get().outcome,
@@ -461,7 +577,7 @@ TEST(RenderServer, WarpRungNeverServesStatelessRequest)
 
 TEST(RenderServer, WarpRungServesUnaffordableFallbackAsWarp)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
     const ModelEntry *entry = registry.find("m");
     const ServeConfig sc = warpRungConfig();
@@ -505,7 +621,7 @@ TEST(RenderServer, WarpRungServesUnaffordableFallbackAsWarp)
 
 TEST(RenderServer, OverloadShedsAtAdmissionAndDrainsClean)
 {
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("m", std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
 
     ServeConfig sc;
@@ -552,7 +668,7 @@ TEST(RenderServer, RemoveDuringTrafficDrainsClean)
     // their pinned entry and complete; requests resolved after the
     // removal come back rejectedUnknownModel; nothing crashes, hangs,
     // or trips TSan.
-    ModelRegistry registry(8);
+    ModelRegistry registry;
     registry.add("doomed",
                  std::make_unique<nerf::NerfModel>(tinyModelConfig(), 5));
     registry.add("stays",
