@@ -5,9 +5,10 @@
  *
  *  1. Scaling — the same frame stream served with 1, 2, and 4 render
  *     threads; closed-loop clients keep the queue primed so the
- *     work-sharing pool is the bottleneck. On a machine with >= 4
- *     hardware threads, 4 workers must deliver >= 2x the frame rate
- *     of 1 worker.
+ *     work-sharing pool is the bottleneck. Each configuration is timed
+ *     over a steady window after [frames_per_config] untimed warm-up
+ *     frames. On a machine with >= 4 hardware threads, 4 workers must
+ *     deliver >= 2x the frame rate of 1 worker.
  *  2. Overload — tight deadlines and a deliberately undersized queue
  *     push the server down its degrade ladder (half-resolution for
  *     stateless frames, the warp of the session keyframe for a camera
@@ -558,21 +559,29 @@ runFleetTrace(int frames, int size, int fleet_n, double zipf_s, int tenants_n,
     return ok ? 0 : 1;
 }
 
+/** Phase 1's timed window per configuration: long enough that the
+ *  4-vs-1 ratio is steady at any resolution. */
+constexpr double kScalingWindowS = 0.5;
+
 /**
  * Closed-loop throughput: @p clients client threads, each submitting
- * its next frame only after the previous one completed. Returns frames
- * per second over @p frames total rendered frames.
+ * its next frame only after the previous one completed. The first
+ * @p frames frames warm the render workers up untimed; then frames/s is
+ * the completions over a window of at least kScalingWindowS and at
+ * least @p frames frames, measured with every client still busy.
  */
 double
 closedLoopFps(serve::RenderServer &server, int frames, int clients, int size)
 {
     std::atomic<int> next{0};
-    const auto t0 = std::chrono::steady_clock::now();
+    std::atomic<int> done{0};
+    std::atomic<bool> stop{false};
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(clients));
     for (int c = 0; c < clients; ++c) {
-        threads.emplace_back([&server, &next, frames, size]() {
-            for (int i = next.fetch_add(1); i < frames; i = next.fetch_add(1)) {
+        threads.emplace_back([&server, &next, &done, &stop, size]() {
+            while (!stop.load()) {
+                const int i = next.fetch_add(1);
                 serve::RenderRequest req;
                 req.model = "demo";
                 req.camera = orbitFrame(i, size);
@@ -583,15 +592,25 @@ closedLoopFps(serve::RenderServer &server, int frames, int clients, int size)
                     !FaultInjector::instance().active())
                     fatal("unloaded server rejected frame %d (%s)", i,
                           serve::outcomeName(r.outcome));
+                done.fetch_add(1);
             }
         });
     }
+    using Clock = std::chrono::steady_clock;
+    const auto poll = std::chrono::milliseconds(1);
+    while (done.load() < frames)
+        std::this_thread::sleep_for(poll);
+    const int done0 = done.load();
+    const Clock::time_point t0 = Clock::now();
+    std::this_thread::sleep_for(std::chrono::duration<double>(kScalingWindowS));
+    while (done.load() - done0 < frames)
+        std::this_thread::sleep_for(poll);
+    const int timed = done.load() - done0;
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    stop.store(true);
     for (std::thread &t : threads)
         t.join();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return static_cast<double>(frames) / seconds;
+    return static_cast<double>(timed) / seconds;
 }
 
 /** Cap on --sessions and --tenants: each is one client thread. */
@@ -773,8 +792,9 @@ main(int argc, char **argv)
                              trace_path);
 
     // --- Phase 1: throughput scaling across render threads ---
-    inform("phase 1: closed-loop throughput, %d frames of %dx%d per config",
-           frames, size, size);
+    inform("phase 1: closed-loop throughput at %dx%d, %d warm-up frames then "
+           "a %.1f s window per config",
+           size, size, frames, kScalingWindowS);
     double fps1 = 0.0, fps4 = 0.0;
     for (const int threads : {1, 2, 4}) {
         serve::RenderServer server(registry, baseConfig(threads));

@@ -101,10 +101,17 @@ OccupancyGrid::applyDensities(std::span<const float> fresh, float decay)
               cellCount(), fresh.size());
     if (density_.empty())
         density_.assign(cellCount(), 0.0f);
+    double sum = 0.0;
     for (std::size_t i = 0; i < density_.size(); ++i) {
         density_[i] = std::max(density_[i] * decay, fresh[i]);
-        occupied_[i] = density_[i] > threshold_;
+        sum += density_[i];
     }
+    // Instant-NGP's cap: a cell above the grid's mean density stays
+    // occupied whatever the threshold, so a field that is still below
+    // the threshold everywhere (early training) cannot empty the grid.
+    const float cut = std::min(threshold_, static_cast<float>(sum / density_.size()));
+    for (std::size_t i = 0; i < density_.size(); ++i)
+        occupied_[i] = density_[i] > cut;
 }
 
 void

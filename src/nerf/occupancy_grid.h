@@ -31,7 +31,11 @@ class OccupancyGrid
   public:
     /**
      * @param resolution Cells per axis.
-     * @param threshold  Density above which a cell counts as occupied.
+     * @param threshold  Density σ (per unit of normalized length) above
+     *                   which a cell counts as occupied, capped at the
+     *                   grid's mean density by applyDensities.
+     *                   PointPipeline passes its optical-thickness
+     *                   threshold divided by Stage I's lattice step.
      */
     explicit OccupancyGrid(int resolution = 64, float threshold = 0.01f);
 
@@ -83,7 +87,10 @@ class OccupancyGrid
     /**
      * Phase two of an update: fold per-cell fresh density samples
      * (cell order, cellCount() values) into the EMA and refresh the
-     * occupancy bits.
+     * occupancy bits. A cell is occupied when its estimate exceeds
+     * min(threshold(), mean estimate over the grid), strictly: the cap
+     * keeps the cells above the mean even when no cell reaches the
+     * threshold, and a grid of equal estimates below it clears.
      */
     void applyDensities(std::span<const float> fresh, float decay = 0.95f);
 

@@ -71,6 +71,10 @@ struct PointPipelineConfig
     SamplerConfig sampler;
     RenderParams render;
     int occupancyResolution = 48;
+    /** Optical thickness σ·Δt above which a gate cell is occupied, with
+     *  Δt Stage I's lattice step (SamplerConfig::latticeStep), as in
+     *  Instant-NGP. The grid applies it as the density threshold
+     *  occupancyThreshold / Δt. */
     float occupancyThreshold = 0.01f;
     /** Learning rate of the model's field parameters (hash table, line
      *  factors, or MLP trunk). */
@@ -98,7 +102,8 @@ class PointPipeline : public RadianceField
           model_(std::make_unique<ModelT>(cfg.model, cfg.seed)),
           sampler_(cfg.sampler)
     {
-        model_->occupancy() = OccupancyGrid(cfg.occupancyResolution, cfg.occupancyThreshold);
+        model_->occupancy() = OccupancyGrid(
+            cfg.occupancyResolution, cfg.occupancyThreshold / cfg.sampler.latticeStep());
     }
 
     const Config &config() const { return cfg_; }

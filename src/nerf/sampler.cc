@@ -6,13 +6,6 @@
 namespace fusion3d::nerf
 {
 
-namespace
-{
-
-constexpr float kSqrt3 = 1.7320508075688772f;
-
-} // namespace
-
 int
 RaySampler::sample(const Ray &ray, const OccupancyGrid *grid, Pcg32 &rng,
                    std::vector<RaySample> &out, RayWorkload *workload) const
@@ -38,7 +31,7 @@ RaySampler::sample(const Ray &ray, const OccupancyGrid *grid, Pcg32 &rng,
     if (!span || span->t1 <= std::max(span->t0, 0.0f))
         return 0;
 
-    const float dt = kSqrt3 / static_cast<float>(cfg_.maxSamplesPerRay);
+    const float dt = cfg_.latticeStep();
     const float jitter = cfg_.jitter ? rng.nextFloat() : 0.5f;
 
     // DDA skip mode: pre-compute the occupied intervals so empty space

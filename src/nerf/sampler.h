@@ -93,6 +93,15 @@ struct SamplerConfig
      * step per crossed cell (counted in RayWorkload::ddaSteps).
      */
     bool ddaSkip = false;
+
+    /** Stage I's lattice step Δt: the cube diagonal √3 over
+     *  maxSamplesPerRay. Every sample's dt, and the unit the pipeline's
+     *  optical-thickness gate threshold is divided by. */
+    float
+    latticeStep() const
+    {
+        return 1.7320508075688772f / static_cast<float>(maxSamplesPerRay);
+    }
 };
 
 /** Stage-I sampler over the normalized unit cube. */

@@ -310,14 +310,29 @@ TEST(Pipeline, TrainingImprovesPsnr)
     EXPECT_GE(result.totalCandidates, result.totalSamples);
 }
 
+TEST(Pipeline, GateThresholdsOpticalThickness)
+{
+    const PipelineConfig pc = tinyPipeline();
+    NerfPipeline pipe(pc);
+    OccupancyGrid &grid = pipe.grid();
+    const float dt = pc.sampler.latticeStep();
+    // Optical thickness σ·Δt just below and just above the threshold,
+    // plus thick cells that lift the grid mean over it so the mean cap
+    // stays idle. Every σ here exceeds the threshold as a raw density.
+    const float thickness[3] = {0.9f, 1.1f, 3.0f};
+    std::vector<float> sigma(grid.cellCount());
+    for (std::size_t i = 0; i < sigma.size(); ++i)
+        sigma[i] = thickness[i % 3] * pc.occupancyThreshold / dt;
+    grid.applyDensities(sigma, 0.0f);
+    for (std::size_t i = 0; i < sigma.size(); ++i)
+        EXPECT_EQ(grid.occupiedCell(i), sigma[i] * dt > pc.occupancyThreshold) << i;
+    EXPECT_NEAR(grid.occupiedFraction(), 2.0 / 3.0, 1e-4);
+}
+
 TEST(Pipeline, OccupancyUpdateShrinksWorkload)
 {
     const Dataset data = tinyDataset("mic");
-    PipelineConfig pc = tinyPipeline();
-    // A higher gate threshold: empty space needs fewer iterations to
-    // fall below it (sigma ~= 1 at init under the exp activation).
-    pc.occupancyThreshold = 1.0f;
-    NerfPipeline pipe(pc);
+    NerfPipeline pipe(tinyPipeline());
     TrainerConfig tc;
     tc.iterations = 160;
     tc.raysPerBatch = 96;

@@ -45,6 +45,19 @@ TEST(Sampler, UnoccludedRayFillsCube)
     }
 }
 
+TEST(Sampler, SampleStepIsTheLatticeStep)
+{
+    SamplerConfig cfg;
+    cfg.maxSamplesPerRay = 48;
+    RaySampler sampler(cfg);
+    Pcg32 rng(4);
+    std::vector<RaySample> out;
+    ASSERT_GT(sampler.sample(centerRay(), nullptr, rng, out), 0);
+    EXPECT_FLOAT_EQ(cfg.latticeStep(), 1.7320508f / 48.0f);
+    for (const RaySample &s : out)
+        EXPECT_EQ(s.dt, cfg.latticeStep());
+}
+
 TEST(Sampler, SamplesAreSortedByT)
 {
     RaySampler sampler;
@@ -196,6 +209,20 @@ TEST(OccupancyGrid, DecayEventuallyClearsStaleCells)
     for (int i = 0; i < 20; ++i)
         grid.update([](const Vec3f &) { return 0.0f; }, rng, 0.5f);
     EXPECT_DOUBLE_EQ(grid.occupiedFraction(), 0.0);
+}
+
+TEST(OccupancyGrid, MeanCapKeepsALowDensityGridFromEmptying)
+{
+    // Early training: no estimate reaches the threshold, so the cut
+    // falls to the grid mean and the cells above it stay occupied.
+    OccupancyGrid grid(8, 0.5f);
+    std::vector<float> sigma(grid.cellCount());
+    for (std::size_t i = 0; i < sigma.size(); ++i)
+        sigma[i] = 0.01f * static_cast<float>(1 + i % 4); // mean 0.025
+    grid.applyDensities(sigma, 0.0f);
+    for (std::size_t i = 0; i < sigma.size(); ++i)
+        EXPECT_EQ(grid.occupiedCell(i), sigma[i] > 0.025f) << i;
+    EXPECT_DOUBLE_EQ(grid.occupiedFraction(), 0.5);
 }
 
 TEST(OccupancyGrid, BitfieldBytes)
